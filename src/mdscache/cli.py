@@ -13,6 +13,7 @@ Exit codes: 0 ok / check passed, 1 check failed, 2 bad parameters or usage.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import sys
 from dataclasses import asdict
@@ -53,6 +54,12 @@ def _merged(args: argparse.Namespace, required: tuple[str, ...]) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             merged.update(json.load(fh))
+        flags = [key for key in vars(args) if key not in ("command", "fn", "config")]
+        for key in merged:
+            if key not in flags:
+                hint = "".join(f"; did you mean {c!r} (--{c.replace('_', '-')})?"
+                               for c in difflib.get_close_matches(key, flags, n=1))
+                raise ParamError(f"config key {key!r} is not a flag of {args.command}{hint}")
     for key, value in vars(args).items():
         if value is not None:
             merged[key] = value

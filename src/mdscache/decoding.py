@@ -3,8 +3,9 @@
 Two fidelities are implemented:
 
 * accounting: repeatedly strip XOR components whose symbols are already known
-  until a fixpoint, synthesizing skipped subset messages as XOR combinations
-  of transmitted ones, then reconstruct the file from >= f known coded symbols
+  until a fixpoint, over the transmitted messages, the top-ups and the
+  skipped subset messages the schedule rebuilt as XOR combinations of
+  transmitted ones, then reconstruct the file from >= f known coded symbols
 * exact: decide recoverability of the requested file by rank analysis of the
   user's linear observations over the symbol field (small f only)
 """
@@ -261,10 +262,7 @@ def decode_user(params: SystemParams, user: int,
 def _decode_accounting(params, user, cache_view, schedule, codec) -> DecodeResult:
     file0 = schedule.demand.zero_based[user]
     know = seed_from_cache(cache_view, params.coded_len)
-    received = list(schedule.messages) + list(schedule.topups)
-    virtuals, _ = synthesize_skipped(params.k, schedule.leaders_mask,
-                                     schedule.demand.zero_based, schedule.messages)
-    strip_fixpoint(know, received + virtuals)
+    strip_fixpoint(know, [*schedule.messages, *schedule.topups, *schedule.virtuals])
     known = know.count(file0)
     deficit = max(0, params.f - known)
     if deficit > 0:

@@ -7,10 +7,12 @@ skipped because receivers can synthesize them.  The loop stops at the first
 size whose full blocks would fill every cache.
 
 ``plan_schedule`` runs the loop on given block sizes and keeps exact rational
-lengths.  ``deliver`` emits real payloads: message lengths are capped by the
-increments computed from expected block sizes, rounded up to whole symbols,
-and any per-user shortfall from truncation is repaired by dedicated top-up
-symbols appended after the multicast phase.
+lengths; it is the only copy of the loop.  ``deliver`` executes the plan on
+expected block sizes and emits real payloads: message lengths are capped by
+each planned increment rounded up to whole symbols.  It rebuilds the skipped
+messages once per broadcast, since every receiver derives the same ones, and
+repairs any per-user shortfall from truncation with dedicated top-up symbols
+appended after the multicast phase.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import accumulated_share, comb0, stop_index
+from .analysis import comb0
 from .decoding import (BroadcastMessage, MessageComponent, direct_message,
                        seed_from_cache, strip_fixpoint, synthesize_skipped)
 from .params import (CacheContents, RequestVector, SubfilePartition, SystemParams,
@@ -78,7 +80,7 @@ class IterationPlan:
     incr: Fraction
     cap: int | None
     n_messages: int
-    symbols: int = 0  # realized symbols, filled by deliver
+    symbols: int = 0  # symbols sent, filled by deliver
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,7 @@ class DeliverySchedule:
     s: int
     iterations: list[IterationPlan]
     messages: list[BroadcastMessage]
+    virtuals: list[BroadcastMessage]  # skipped subsets, rebuilt from messages
     topups: list[BroadcastMessage]
     reconstruct: bool
     unsolved_skips: list[tuple[int, int]]
@@ -181,12 +184,6 @@ class DeliverySchedule:
             if m.kind == "main":
                 total += max(Fraction(0), Fraction(m.length) - by_j[m.j])
         return total
-
-    def realized_per_iteration(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for m in self.messages:
-            out[m.j] = out.get(m.j, 0) + m.length
-        return out
 
     def to_json(self) -> str:
         obj = {
@@ -241,77 +238,62 @@ class DeliverySchedule:
         }
         return json.dumps(obj, sort_keys=True)
 
-    def save_payloads(self, path) -> None:
-        arrays = {f"msg_{i:05d}": m.payload for i, m in enumerate(self.messages)}
-        arrays.update({f"topup_{i:05d}": m.payload for i, m in enumerate(self.topups)})
-        np.savez_compressed(path, **arrays)
-
 
 def deliver(params: SystemParams, cache: CacheContents, d: RequestVector,
             coded_files: dict[int, np.ndarray], reconstruct: bool = True) -> DeliverySchedule:
     """Emit the broadcast for demand d over a concrete placement.
 
-    Message lengths follow the increments computed from expected block sizes,
-    rounded up to whole symbols and never beyond the longest XOR component.
-    With reconstruct=False, subsets without a leader are transmitted outright
-    instead of being left for receiver-side synthesis.
+    Executes ``plan_schedule`` on expected block sizes: each planned iteration
+    caps its messages at the increment rounded up to whole symbols, and never
+    beyond the longest XOR component.  With reconstruct=False, subsets without
+    a leader are transmitted outright instead of being left for receiver-side
+    synthesis.
     """
     require_valid(params)
-    d.validate_for(params)
     k = params.k
     d0 = d.zero_based
     u_mask = subset_mask(leaders(d))
-    f_sym = params.f
-    s = stop_index(params.n_files, params.m, k, params.r)
+    plan = plan_schedule(params, d, ExpectedSizes(params))
     partitions = {nf: partition_subfiles(cache, range(k), nf, params) for nf in set(d0)}
 
-    iterations: list[IterationPlan] = []
     messages: list[BroadcastMessage] = []
-    if s <= k:
-        f_total = Fraction(f_sym)
-        for j in range(k, s - 1, -1):
-            seg = expected_subfile_size(params, j - 1)
-            c = comb0(k - 1, j - 1)
-            acc = accumulated_share(j + 1, params.n_files, params.m, k, params.r) * f_total
-            acc_new = acc + seg * c
-            incr = min(seg * c, f_total - acc) / c
-            cap = _ceil(incr)
-            plan = IterationPlan(j, seg, acc, acc_new, incr, cap, 0)
-            if cap > 0:
-                for smask in iter_subset_masks(k, j):
-                    is_main = bool(smask & u_mask)
-                    if not is_main and (reconstruct or j < 2):
-                        continue
-                    msg = _build_message(smask, j, cap, d0, partitions, coded_files,
-                                         kind="main" if is_main else "fallback")
-                    if msg is not None:
-                        messages.append(msg)
-                        if is_main:
-                            plan.n_messages += 1
-                        plan.symbols += msg.length
-            iterations.append(plan)
+    for it in plan.iterations:
+        it.cap = _ceil(it.incr)
+        it.n_messages = 0  # messages actually sent, not leader subsets planned
+        if it.cap == 0:
+            continue
+        for smask in iter_subset_masks(k, it.j):
+            is_main = bool(smask & u_mask)
+            if not is_main and (reconstruct or it.j < 2):
+                continue
+            msg = _build_message(smask, it.j, it.cap, d0, partitions, coded_files,
+                                 kind="main" if is_main else "fallback")
+            if msg is not None:
+                messages.append(msg)
+                it.n_messages += int(is_main)
+                it.symbols += msg.length
 
-    virtuals: list[BroadcastMessage] = []
-    unsolved: list[tuple[int, int]] = []
-    if reconstruct:
-        virtuals, unsolved = synthesize_skipped(k, u_mask, d0, messages)
+    # every receiver rebuilds the same skipped messages, so build them once
+    virtuals, unsolved = synthesize_skipped(k, u_mask, d0, messages)
 
     # dedicated repair symbols for any user left short by truncation
+    received = messages + virtuals if reconstruct else messages
     topups: list[BroadcastMessage] = []
     for user in range(k):
         file0 = d0[user]
         view = {nf: (cache.indices(user, nf), coded_files[nf][cache.indices(user, nf)])
                 for nf in range(params.n_files)}
         know = seed_from_cache(view, params.coded_len)
-        strip_fixpoint(know, messages + virtuals + topups)
-        deficit = f_sym - know.count(file0)
+        strip_fixpoint(know, received + topups)
+        deficit = params.f - know.count(file0)
         if deficit > 0:
             missing = np.flatnonzero(~know.mask(file0))[:deficit]
             topups.append(direct_message(user, file0, missing, coded_files[file0][missing]))
 
-    return DeliverySchedule(params=params, demand=d, leaders_mask=u_mask, s=s,
-                            iterations=iterations, messages=messages, topups=topups,
-                            reconstruct=reconstruct, unsolved_skips=unsolved)
+    return DeliverySchedule(params=params, demand=d, leaders_mask=u_mask, s=plan.s,
+                            iterations=plan.iterations, messages=messages,
+                            virtuals=virtuals, topups=topups, reconstruct=reconstruct,
+                            unsolved_skips=unsolved if reconstruct else [])
 
 
 def _build_message(smask: int, j: int, cap: int, d0, partitions, coded_files,

@@ -189,10 +189,6 @@ class RequestVector:
         return RequestVector(tuple((i % j) + 1 for i in range(p.k)))
 
 
-def distinct_requests(d: RequestVector) -> int:
-    return d.n_distinct
-
-
 # ---------------------------------------------------------------------------
 # subsets of active users as bitmasks
 

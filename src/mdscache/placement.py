@@ -23,7 +23,8 @@ TAG_TRIAL = 0x7472696C      # "tril"
 TAG_VIRTUAL = 0x76697274    # "virt"
 
 
-def splitmix64(x: int) -> int:
+def splitmix64(x):
+    """splitmix64 finalizer of x + golden gamma; also elementwise on uint64 arrays."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -44,11 +45,9 @@ class SymbolStream:
         self._state = seed & _MASK64
 
     def u64(self) -> int:
+        out = splitmix64(self._state)
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return out
 
     def randbelow(self, n: int) -> int:
         if n <= 0:

@@ -26,22 +26,16 @@ from .decoding import decode_user
 from .delivery import deliver
 from .mds import CodecConfig, mds_encode
 from .params import RequestVector, SystemParams, fraction_str, require_valid
-from .placement import TAG_FILE, TAG_TRIAL, TAG_VIRTUAL, derive_seed, prefetch
+from .placement import (TAG_FILE, TAG_TRIAL, TAG_VIRTUAL, derive_seed, prefetch,
+                        splitmix64)
 
 REAL_CODEC_MAX_F = 4096
-
-
-def _splitmix64_np(x: np.ndarray) -> np.ndarray:
-    x = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
 
 
 def pseudo_symbols(seed: int, count: int, width_mask: int = 0xFFFF) -> np.ndarray:
     """Deterministic symbol string: splitmix64 over (seed XOR position+1)."""
     base = np.uint64(seed) ^ (np.arange(1, count + 1, dtype=np.uint64))
-    return (_splitmix64_np(base) & np.uint64(width_mask)).astype(np.int64)
+    return (splitmix64(base) & np.uint64(width_mask)).astype(np.int64)
 
 
 def choose_codec(params: SystemParams, codec: str) -> str:
@@ -159,7 +153,7 @@ def run_one_trial(params: SystemParams, demand: RequestVector, master_seed: int,
                     f"trial {trial}: accounting claimed success rank analysis denies")
             exact.append(res_x.success)
 
-    per_it = tuple(sorted(schedule.realized_per_iteration().items(), reverse=True))
+    per_it = tuple((it.j, it.symbols) for it in schedule.iterations if it.symbols)
     total = schedule.total_symbols
     return TrialResult(
         trial=trial, seed=tseed, demand=demand.files, codec_kind=codec_kind,

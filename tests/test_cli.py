@@ -1,4 +1,5 @@
 """Command line behavior: output shapes, exit codes, determinism."""
+import hashlib
 import json
 
 import pytest
@@ -162,6 +163,35 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
                          "--tolerance", "0")
     assert code2 == 1
     assert "tolerance 0" in err2
+
+
+def test_config_key_typo_exits_2_with_closest_flag(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 2, "m": 1, "k": 3, "r": 2, "f": 100,
+                                  "trails": 3}))
+    code, out, err = run(capsys, "simulate", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert "'trails'" in err and "--trials" in err
+
+
+# sha256 of the per-trial log at a point with top-ups, fallbacks and users
+# knowing more than f symbols; a change to seeded output must update these
+# digests and say so in CHANGES.md
+GOLDEN_LOGS = {
+    (): "290e415d0599bc27eae3e20b45e8b8700452bfb5e6201a7c63b73d5cab1bd59e",
+    ("--no-reconstruct",): "03d024db3b53674320a44d4b14b2ff74d27512775704250f43abe1f067a513c1",
+}
+
+
+@pytest.mark.parametrize("extra", sorted(GOLDEN_LOGS), ids=["reconstruct", "no-reconstruct"])
+def test_simulate_log_matches_golden_digest(tmp_path, capsys, extra):
+    log = tmp_path / "trials.jsonl"
+    code, _, err = run(capsys, "simulate", "--n", "3", "--m", "1", "--k", "6",
+                       "--r", "2", "--f", "300", "--trials", "4", "--seed", "5",
+                       "--tolerance", "1", "--log", str(log), *extra)
+    assert code == 0, err
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == GOLDEN_LOGS[extra]
 
 
 def test_verify_preset_runs_exact_mode(tmp_path, capsys):

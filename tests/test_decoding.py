@@ -151,6 +151,10 @@ def test_synthesis_across_seeds_never_fails():
         virtuals, unsolved = synthesize_skipped(p.k, schedule.leaders_mask,
                                                 d.zero_based, schedule.messages)
         assert unsolved == []
+        # the schedule carries the same rebuilt messages every receiver uses
+        assert [m.subset_mask for m in schedule.virtuals] == [m.subset_mask for m in virtuals]
+        for got, want in zip(schedule.virtuals, virtuals):
+            assert np.array_equal(got.payload, want.payload)
         # one virtual message per scheduled-size leaderless subset
         skipped = {m.subset_mask for m in virtuals}
         for it in schedule.iterations:

@@ -22,6 +22,10 @@ def test_splitmix64_reference_vectors():
     assert splitmix64(0) == 0xE220A8397B1DCDAF
     assert splitmix64(0x9E3779B97F4A7C15) == 0x6E789E6AA1B965F4
     assert splitmix64(1) != splitmix64(2)
+    # elementwise on uint64 arrays, bit-identical to the scalar function
+    got = splitmix64(np.array([0, 0x9E3779B97F4A7C15], dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
     stream = SymbolStream(0)
     assert stream.u64() == 0xE220A8397B1DCDAF
     assert stream.u64() == 0x6E789E6AA1B965F4
