@@ -15,7 +15,7 @@ from .mds import (CodecConfig, InsufficientSymbolsError, generator_matrix,
 from .params import (CacheContents, ParamError, RequestVector,
                      SubfilePartition, SystemParams, as_fraction,
                      fraction_str, suggest_feasible_f, validate)
-from .placement import (PlacementSeed, derive_seed, expected_subfile_size,
+from .placement import (derive_seed, expected_subfile_size,
                         partition_subfiles, prefetch,
                         sample_without_replacement, splitmix64)
 from .simulate import (TrialResult, TrialStats, choose_codec,
@@ -31,7 +31,7 @@ __all__ = [
     "SystemParams", "RequestVector", "CacheContents", "SubfilePartition",
     "ParamError", "as_fraction", "fraction_str", "suggest_feasible_f",
     "validate",
-    "PlacementSeed", "prefetch", "partition_subfiles", "expected_subfile_size",
+    "prefetch", "partition_subfiles", "expected_subfile_size",
     "sample_without_replacement", "derive_seed", "splitmix64",
     "accumulated_share", "stop_index", "rate_mds_dec", "rate_uncoded_dec",
     "rate_uncoded_cen", "best_r", "comb0",

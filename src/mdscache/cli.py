@@ -23,7 +23,7 @@ from fractions import Fraction
 from .analysis import (best_r, rate_mds_dec, rate_uncoded_cen,
                        rate_uncoded_dec, stop_index)
 from .params import (ParamError, RequestVector, SystemParams, as_fraction,
-                     fraction_str, validate)
+                     fraction_str, require_valid)
 from .simulate import compare_to_theory, run_trials
 
 
@@ -136,9 +136,7 @@ def _build_params(opt: dict) -> SystemParams:
     params = SystemParams(n_files=int(opt["n"]), k_prime=k_prime, k=k,
                           m=as_fraction(opt["m"]), r=as_fraction(opt["r"]),
                           f=int(opt["f"]))
-    problems = validate(params)
-    if problems:
-        raise ParamError("; ".join(problems))
+    require_valid(params)
     return params
 
 

@@ -22,13 +22,30 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import comb0
+from .analysis import comb0, stop_index
 from .decoding import (BroadcastMessage, MessageComponent, direct_message,
                        seed_from_cache, strip_fixpoint, synthesize_skipped)
-from .params import (CacheContents, RequestVector, SubfilePartition, SystemParams,
-                     fraction_str, iter_subset_masks, mask_users, require_valid,
-                     subset_mask)
+from .params import (CacheContents, ParamError, RequestVector, SubfilePartition,
+                     SystemParams, fraction_str, iter_subset_masks, mask_users,
+                     require_valid, subset_mask)
 from .placement import expected_subfile_size, partition_subfiles
+
+
+SUBSET_BUDGET = 1 << 16  # admits every k <= 16
+
+
+def require_enumerable(params: SystemParams) -> None:
+    """Raise ParamError when delivery would visit more than SUBSET_BUDGET user subsets.
+
+    The loop visits every subset of each size k down to the stop index s.
+    """
+    k = params.k
+    s = stop_index(params.n_files, params.m, k, params.r)
+    count = sum(comb0(k, j) for j in range(s, k + 1))
+    if count > SUBSET_BUDGET:
+        raise ParamError(f"k={k} needs {count} user subsets of sizes {s}..{k}, more than "
+                         f"the limit of {SUBSET_BUDGET} that delivery enumerates; "
+                         "every k <= 16 fits")
 
 
 def leaders(d: RequestVector) -> tuple[int, ...]:
@@ -105,6 +122,7 @@ def plan_schedule(params: SystemParams, d: RequestVector, sizes) -> SchedulePlan
     (file, size j-1 subset) blocks the iteration consumes; on uniform sizes
     this is the common value.
     """
+    require_enumerable(params)
     d.validate_for(params)
     k = params.k
     d0 = d.zero_based

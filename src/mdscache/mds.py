@@ -69,31 +69,27 @@ class CodecConfig:
         return CodecConfig(f=obj["f"], n=obj["n"], field_width=obj["field_width"])
 
 
-@lru_cache(maxsize=32)
-def _node_weights(f: int, field_width: int) -> np.ndarray:
-    """Barycentric weights w_j = 1 / prod_{i != j} (x_j - x_i) for nodes 0..f-1."""
-    gf = field(field_width)
+def _weights(gf: GF2, nodes: np.ndarray) -> np.ndarray:
+    """Barycentric weights w_j = 1 / prod_{i != j} (x_j - x_i) over the given nodes."""
     order = gf.order
-    nodes = np.arange(f, dtype=np.int64)
-    w_logs = np.empty(f, dtype=np.int64)
-    for j in range(f):
+    w_logs = np.empty(len(nodes), dtype=np.int64)
+    for j in range(len(nodes)):
         diffs = nodes ^ nodes[j]
         diffs[j] = 1  # neutral factor for the excluded index
         w_logs[j] = int(gf.log_np[diffs].sum() % (order - 1))
     return gf.exp_np[(order - 1 - w_logs) % (order - 1)]
 
 
+@lru_cache(maxsize=32)
+def _node_weights(f: int, field_width: int) -> np.ndarray:
+    """Barycentric weights for the systematic nodes 0..f-1."""
+    return _weights(field(field_width), np.arange(f, dtype=np.int64))
+
+
 def _interpolate(gf: GF2, nodes: np.ndarray, values: np.ndarray, targets: np.ndarray,
-                 weights: np.ndarray | None = None) -> np.ndarray:
+                 weights: np.ndarray) -> np.ndarray:
     """Evaluate the degree < len(nodes) polynomial through (nodes, values) at targets."""
     order = gf.order
-    if weights is None:
-        w_logs = np.empty(len(nodes), dtype=np.int64)
-        for j in range(len(nodes)):
-            diffs = nodes ^ nodes[j]
-            diffs[j] = 1
-            w_logs[j] = int(gf.log_np[diffs].sum() % (order - 1))
-        weights = gf.exp_np[(order - 1 - w_logs) % (order - 1)]
     wy = gf.mul_vec(weights, values)
     zero = wy == 0
     wy_log = gf.log_np[np.where(zero, 1, wy)]
@@ -156,7 +152,8 @@ def mds_decode(points, config: CodecConfig) -> np.ndarray:
     if missing.size:
         nodes = np.asarray(picked, dtype=np.int64)
         values = np.asarray([chosen[int(i)] for i in picked], dtype=np.int64)
-        message[missing] = _interpolate(config.gf, nodes, values, missing.astype(np.int64))
+        message[missing] = _interpolate(config.gf, nodes, values, missing.astype(np.int64),
+                                        _weights(config.gf, nodes))
     return message
 
 

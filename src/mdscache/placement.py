@@ -1,13 +1,18 @@
-"""Random symbol placement with per-(user, file) deterministic streams.
+"""Random symbol placement from keyed splitmix64 values.
 
 Seed derivation: a 64-bit master seed is stirred through splitmix64 and each
 context label (tag, user id, file id, ...) is absorbed one at a time with
 ``state = splitmix64(state XOR part)``.  Every (user, file) pair therefore owns
-an independent stream that does not depend on iteration order or thread count.
+an independent key that does not depend on iteration order or thread count.
+
+Placement gives each coded symbol position i of a file the value
+``splitmix64(key XOR (i+1))`` (``keyed_u64``) and caches the m positions with
+the smallest values: a uniform random m-subset drawn in one vectorized pass.
+The same keyed values, masked to the symbol width, make the pseudo-random file
+contents of ``simulate.pseudo_symbols``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,66 +43,39 @@ def derive_seed(master: int, *parts: int) -> int:
     return state
 
 
-class SymbolStream:
-    """splitmix64 output stream with exact uniform bounded draws."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def u64(self) -> int:
-        out = splitmix64(self._state)
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        return out
-
-    def randbelow(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("bound must be positive")
-        # rejection keeps the draw exactly uniform
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
-        while True:
-            v = self.u64()
-            if v < limit:
-                return v % n
+def keyed_u64(seed: int, count: int) -> np.ndarray:
+    """splitmix64 over (seed XOR position+1) for positions 0..count-1, as uint64."""
+    return splitmix64(np.uint64(seed & _MASK64) ^ np.arange(1, count + 1, dtype=np.uint64))
 
 
-@dataclass(frozen=True)
-class PlacementSeed:
-    """Master seed plus the derivation rule for per-(user, file) streams."""
-
-    master: int
-
-    def stream(self, user: int, file: int) -> SymbolStream:
-        return SymbolStream(derive_seed(self.master, TAG_PLACEMENT, user, file))
-
-
-def sample_without_replacement(stream: SymbolStream, n: int, m: int) -> np.ndarray:
+def sample_without_replacement(seed: int, n: int, m: int) -> np.ndarray:
     """m distinct values from [0, n), uniform over all (n choose m) subsets.
 
-    Partial Fisher-Yates shuffle over a sparse identity permutation; only the
-    touched entries are materialized.
+    Returns, in ascending order, the positions of the m smallest keys
+    ``keyed_u64(seed, n)``.  The keys are splitmix64 of distinct inputs and
+    splitmix64 is a bijection, so they never tie: exactly m keys lie at or
+    below the m-th smallest, and the selected set is unique.
     """
     if not 0 <= m <= n:
         raise ValueError(f"cannot sample {m} of {n}")
-    perm: dict[int, int] = {}
-    picked = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        j = i + stream.randbelow(n - i) if n - i > 1 else i
-        vi = perm.get(i, i)
-        picked[i] = perm.get(j, j)
-        perm[j] = vi
-    picked.sort()
-    return picked
+    if m == n:
+        return np.arange(n, dtype=np.int64)
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    keys = keyed_u64(seed, n)
+    return np.flatnonzero(keys <= np.partition(keys, m - 1)[m - 1]).astype(np.int64, copy=False)
 
 
-def prefetch(params: SystemParams, seed: PlacementSeed | int) -> CacheContents:
-    """Fill every provisioned user's cache with m*f/n_files symbols of each coded file."""
+def prefetch(params: SystemParams, seed: int) -> CacheContents:
+    """Fill every provisioned user's cache with m*f/n_files symbols of each coded file.
+
+    The cache of (user, file) depends only on (seed, user, file).
+    """
     require_valid(params)
-    if isinstance(seed, int):
-        seed = PlacementSeed(seed)
     n = params.coded_len
     m_sym = params.cached_per_file
     indices = {
-        (u, fl): sample_without_replacement(seed.stream(u, fl), n, m_sym)
+        (u, fl): sample_without_replacement(derive_seed(seed, TAG_PLACEMENT, u, fl), n, m_sym)
         for u in range(params.k_prime)
         for fl in range(params.n_files)
     }

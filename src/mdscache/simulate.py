@@ -23,19 +23,18 @@ import numpy as np
 
 from .analysis import rate_mds_dec
 from .decoding import decode_user
-from .delivery import deliver
+from .delivery import deliver, require_enumerable
 from .mds import CodecConfig, mds_encode
 from .params import RequestVector, SystemParams, fraction_str, require_valid
-from .placement import (TAG_FILE, TAG_TRIAL, TAG_VIRTUAL, derive_seed, prefetch,
-                        splitmix64)
+from .placement import (TAG_FILE, TAG_TRIAL, TAG_VIRTUAL, derive_seed, keyed_u64,
+                        prefetch)
 
 REAL_CODEC_MAX_F = 4096
 
 
 def pseudo_symbols(seed: int, count: int, width_mask: int = 0xFFFF) -> np.ndarray:
-    """Deterministic symbol string: splitmix64 over (seed XOR position+1)."""
-    base = np.uint64(seed) ^ (np.arange(1, count + 1, dtype=np.uint64))
-    return (splitmix64(base) & np.uint64(width_mask)).astype(np.int64)
+    """Deterministic symbol string: ``keyed_u64`` masked to the symbol width."""
+    return (keyed_u64(seed, count) & np.uint64(width_mask)).astype(np.int64)
 
 
 def choose_codec(params: SystemParams, codec: str) -> str:
@@ -175,6 +174,7 @@ def run_trials(params: SystemParams, demand: RequestVector | None = None,
                reconstruct: bool = True) -> TrialStats:
     """Run seeded independent trials; results do not depend on jobs."""
     require_valid(params)
+    require_enumerable(params)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if mode not in ("accounting", "exact"):

@@ -1,10 +1,13 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 import hashlib
 import json
+import time
 
 import pytest
 
 from mdscache.cli import build_parser, dec_str, main
+from mdscache.delivery import require_enumerable
+from mdscache.params import SystemParams
 from fractions import Fraction
 
 
@@ -46,6 +49,19 @@ def test_rate_invalid_params_exit_2(capsys):
     code, _, err = run(capsys, "rate", "--n", "2", "--m", "5", "--k", "3", "--r", "2")
     assert code == 2
     assert "cache budget" in err
+
+
+def test_simulate_beyond_subset_budget_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "simulate", "--n", "2", "--m", "1", "--k", "17",
+                       "--r", "2", "--f", "64", "--trials", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "121670" in err and "65536" in err
+    # every k <= 16 fits, including m = 0 where delivery runs down to size 1
+    for m in (0, 1):
+        require_enumerable(SystemParams(n_files=2, k_prime=16, k=16, m=Fraction(m),
+                                        r=Fraction(2), f=64))
 
 
 def test_sweep_csv_shape(capsys):
@@ -179,8 +195,8 @@ def test_config_key_typo_exits_2_with_closest_flag(tmp_path, capsys):
 # knowing more than f symbols; a change to seeded output must update these
 # digests and say so in CHANGES.md
 GOLDEN_LOGS = {
-    (): "290e415d0599bc27eae3e20b45e8b8700452bfb5e6201a7c63b73d5cab1bd59e",
-    ("--no-reconstruct",): "03d024db3b53674320a44d4b14b2ff74d27512775704250f43abe1f067a513c1",
+    (): "999df745c4ca408caf73312a8816945511b8c19b0fe5ddfb1b4e539e28c9b2b3",
+    ("--no-reconstruct",): "c0fdd677913e28ec9c8ea8fcd019cd8c4ad074caef53e9a9437694ba233fa30c",
 }
 
 

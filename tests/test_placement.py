@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from mdscache.params import SystemParams, subset_mask
-from mdscache.placement import (SymbolStream, derive_seed,
-                                expected_subfile_size, partition_subfiles,
-                                prefetch, sample_without_replacement,
-                                splitmix64)
+from mdscache.placement import (derive_seed, expected_subfile_size, keyed_u64,
+                                partition_subfiles, prefetch,
+                                sample_without_replacement, splitmix64)
 
 
 def make(n=2, kp=3, k=3, m=1, r=2, f=64) -> SystemParams:
@@ -26,9 +25,6 @@ def test_splitmix64_reference_vectors():
     got = splitmix64(np.array([0, 0x9E3779B97F4A7C15], dtype=np.uint64))
     assert got.dtype == np.uint64
     assert got.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
-    stream = SymbolStream(0)
-    assert stream.u64() == 0xE220A8397B1DCDAF
-    assert stream.u64() == 0x6E789E6AA1B965F4
 
 
 def test_derive_seed_order_sensitive():
@@ -37,22 +33,12 @@ def test_derive_seed_order_sensitive():
     assert derive_seed(5, 7, 9) == derive_seed(5, 7, 9)
 
 
-def test_randbelow_range_and_determinism():
-    s1 = SymbolStream(99)
-    s2 = SymbolStream(99)
-    draws1 = [s1.randbelow(10) for _ in range(1000)]
-    draws2 = [s2.randbelow(10) for _ in range(1000)]
-    assert draws1 == draws2
-    assert all(0 <= d < 10 for d in draws1)
-    assert set(draws1) == set(range(10))
-
-
 def test_sample_without_replacement_is_a_uniform_subset():
     # all C(5,2)=10 subsets should appear equally often
     trials = 20000
     counts: dict[tuple, int] = {}
     for t in range(trials):
-        picked = sample_without_replacement(SymbolStream(derive_seed(4, t)), 5, 2)
+        picked = sample_without_replacement(derive_seed(4, t), 5, 2)
         key = tuple(picked.tolist())
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 10
@@ -63,10 +49,28 @@ def test_sample_without_replacement_is_a_uniform_subset():
 
 
 def test_sample_edge_sizes():
-    assert sample_without_replacement(SymbolStream(1), 6, 0).tolist() == []
-    assert sample_without_replacement(SymbolStream(1), 6, 6).tolist() == [0, 1, 2, 3, 4, 5]
+    assert sample_without_replacement(1, 6, 0).tolist() == []
+    assert sample_without_replacement(1, 6, 6).tolist() == [0, 1, 2, 3, 4, 5]
     with pytest.raises(ValueError):
-        sample_without_replacement(SymbolStream(1), 3, 4)
+        sample_without_replacement(1, 3, 4)
+    with pytest.raises(ValueError):
+        sample_without_replacement(1, 3, -1)
+    # seeds are taken modulo 2^64
+    assert np.array_equal(sample_without_replacement(-1, 9, 4),
+                          sample_without_replacement(2**64 - 1, 9, 4))
+
+
+def test_sample_matches_full_sort_reference():
+    # the m positions with the smallest keys, found by sorting every key
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        seed = int(rng.integers(0, 2**63)) * 2 + int(rng.integers(0, 2))
+        n = int(rng.integers(1, 300))
+        m = int(rng.integers(0, n + 1))
+        want = np.sort(np.argsort(keyed_u64(seed, n))[:m])
+        got = sample_without_replacement(seed, n, m)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), (seed, n, m)
 
 
 def test_prefetch_exact_budget_and_range():
