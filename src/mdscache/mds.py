@@ -4,6 +4,10 @@ A file of f symbols is treated as the values of a polynomial of degree < f
 evaluated at the field elements 0..f-1.  The codeword extends the file with
 evaluations at f..n-1, so coded symbols 0..f-1 are the file itself and any f
 distinct coded symbols determine the polynomial, hence the file.
+
+Encode and decode evaluate the barycentric form in the log domain, one block
+of targets against every node per numpy call; ``generator_matrix`` is the
+same form in closed form over all targets at once.
 """
 from __future__ import annotations
 
@@ -69,15 +73,30 @@ class CodecConfig:
         return CodecConfig(f=obj["f"], n=obj["n"], field_width=obj["field_width"])
 
 
+_BLOCK_ELEMENTS = 1 << 14  # keeps each (rows x nodes) int64 temporary near 128 KB
+
+
+def _log_diffs(gf: GF2, points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """log(p ^ x) for every point p (rows) against every node x (columns)."""
+    return gf.log_np[points[:, None] ^ nodes[None, :]]
+
+
+def _blocks(rows: int, cols: int):
+    """Row slices that hold about _BLOCK_ELEMENTS elements of a rows x cols array."""
+    step = max(1, _BLOCK_ELEMENTS // cols)
+    return (slice(start, start + step) for start in range(0, rows, step))
+
+
 def _weights(gf: GF2, nodes: np.ndarray) -> np.ndarray:
-    """Barycentric weights w_j = 1 / prod_{i != j} (x_j - x_i) over the given nodes."""
-    order = gf.order
+    """Barycentric weights w_j = 1 / prod_{i != j} (x_j - x_i) over the given nodes.
+
+    The self term x_j ^ x_j = 0 has log 0, so it drops out of the row sums.
+    """
+    q1 = gf.order - 1
     w_logs = np.empty(len(nodes), dtype=np.int64)
-    for j in range(len(nodes)):
-        diffs = nodes ^ nodes[j]
-        diffs[j] = 1  # neutral factor for the excluded index
-        w_logs[j] = int(gf.log_np[diffs].sum() % (order - 1))
-    return gf.exp_np[(order - 1 - w_logs) % (order - 1)]
+    for rows in _blocks(len(nodes), len(nodes)):
+        w_logs[rows] = _log_diffs(gf, nodes[rows], nodes).sum(axis=1) % q1
+    return gf.exp_np[q1 - w_logs]
 
 
 @lru_cache(maxsize=32)
@@ -88,21 +107,29 @@ def _node_weights(f: int, field_width: int) -> np.ndarray:
 
 def _interpolate(gf: GF2, nodes: np.ndarray, values: np.ndarray, targets: np.ndarray,
                  weights: np.ndarray) -> np.ndarray:
-    """Evaluate the degree < len(nodes) polynomial through (nodes, values) at targets."""
-    order = gf.order
+    """Evaluate the degree < len(nodes) polynomial through (nodes, values) at targets.
+
+    p(t) = ell(t) * sum_j w_j y_j / (t - x_j) with ell(t) = prod_j (t - x_j).
+    """
+    q1 = gf.order - 1
     wy = gf.mul_vec(weights, values)
     zero = wy == 0
-    wy_log = gf.log_np[np.where(zero, 1, wy)]
-    out = np.empty(len(targets), dtype=np.int64)
-    for t_pos, t in enumerate(targets):
-        diffs = np.int64(t) ^ nodes  # never zero: targets avoid the nodes
-        d_log = gf.log_np[diffs]
-        terms = gf.exp_np[(wy_log - d_log) % (order - 1)]
-        terms = np.where(zero, 0, terms)
-        s = int(np.bitwise_xor.reduce(terms))
-        ell_log = int(d_log.sum() % (order - 1))
-        out[t_pos] = gf.mul(gf.exp[ell_log], s)
-    return out
+    has_zero = bool(zero.any())
+    # exp_np is doubled, so log(w_j y_j) + q1 - log(t - x_j) indexes it without a modulo;
+    # a zero w_j y_j borrows log 0 (the term 1/(t - x_j)) and its column is XOR-ed back out
+    wy_log = gf.log_np[wy] + q1
+    ell_logs = np.empty(len(targets), dtype=np.int64)
+    sums = np.empty(len(targets), dtype=np.int64)
+    for rows in _blocks(len(targets), len(nodes)):
+        d_log = _log_diffs(gf, targets[rows], nodes)  # t ^ x_j != 0: targets avoid the nodes
+        ell_logs[rows] = d_log.sum(axis=1) % q1
+        terms = gf.exp_np[np.subtract(wy_log, d_log, out=d_log)]
+        del d_log  # drop both block arrays before the next block: keeps peak memory at ~2 blocks
+        sums[rows] = np.bitwise_xor.reduce(terms, axis=1)
+        if has_zero:
+            sums[rows] ^= np.bitwise_xor.reduce(terms[:, zero], axis=1)
+        del terms
+    return gf.mul_vec(gf.exp_np[ell_logs], sums)
 
 
 def mds_encode(message, config: CodecConfig) -> np.ndarray:
@@ -158,10 +185,17 @@ def mds_decode(points, config: CodecConfig) -> np.ndarray:
 
 
 def generator_matrix(config: CodecConfig) -> np.ndarray:
-    """Dense n x f matrix G with codeword = G @ message; intended for small f."""
+    """Dense n x f matrix G with codeword = G @ message; intended for small f.
+
+    Rows below the identity hold G[t, i] = ell(t) * w_i / (t - i), the
+    barycentric coefficient of message symbol i at target t.
+    """
+    gf = config.gf
+    q1 = gf.order - 1
     mat = np.zeros((config.n, config.f), dtype=np.int64)
-    for j in range(config.f):
-        unit = np.zeros(config.f, dtype=np.int64)
-        unit[j] = 1
-        mat[:, j] = mds_encode(unit, config)
+    mat[: config.f] = np.eye(config.f, dtype=np.int64)
+    nodes = np.arange(config.f, dtype=np.int64)
+    d_log = _log_diffs(gf, np.arange(config.f, config.n, dtype=np.int64), nodes)
+    w_log = gf.log_np[_node_weights(config.f, config.field_width)]
+    mat[config.f:] = gf.exp_np[(d_log.sum(axis=1, keepdims=True) + w_log - d_log) % q1]
     return mat

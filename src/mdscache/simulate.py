@@ -14,6 +14,7 @@ Coded files come in two flavors:
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,18 +24,34 @@ import numpy as np
 
 from .analysis import rate_mds_dec
 from .decoding import decode_user
-from .delivery import deliver, require_enumerable
+from .delivery import ExpectedSizes, deliver, plan_schedule, require_enumerable
 from .mds import CodecConfig, mds_encode
-from .params import RequestVector, SystemParams, fraction_str, require_valid
+from .params import (ParamError, RequestVector, SystemParams, fraction_str,
+                     require_valid)
 from .placement import (TAG_FILE, TAG_TRIAL, TAG_VIRTUAL, derive_seed, keyed_u64,
                         prefetch)
 
 REAL_CODEC_MAX_F = 4096
+EXACT_MATRIX_BYTES = 256 * 10**6
 
 
 def pseudo_symbols(seed: int, count: int, width_mask: int = 0xFFFF) -> np.ndarray:
     """Deterministic symbol string: ``keyed_u64`` masked to the symbol width."""
     return (keyed_u64(seed, count) & np.uint64(width_mask)).astype(np.int64)
+
+
+def require_exact_fits(params: SystemParams, demand: RequestVector) -> None:
+    """Raise ParamError when one exact decode's dense int64 observation matrix,
+    (m*f cached + planned delivery symbols) rows by n_files*f columns, would
+    exceed EXACT_MATRIX_BYTES.  Computes the size only; allocates nothing."""
+    planned = plan_schedule(params, demand, ExpectedSizes(params)).total
+    rows = params.n_files * params.cached_per_file + math.ceil(planned)
+    size = 8 * params.n_files * params.f * rows
+    if size > EXACT_MATRIX_BYTES:
+        raise ParamError(f"exact mode at f={params.f} needs a {size / 1e6:.0f} MB observation "
+                         f"matrix per user, more than the limit of "
+                         f"{EXACT_MATRIX_BYTES / 1e6:.0f} MB; use --mode accounting "
+                         "or a smaller f")
 
 
 def choose_codec(params: SystemParams, codec: str) -> str:
@@ -183,8 +200,10 @@ def run_trials(params: SystemParams, demand: RequestVector | None = None,
         demand = RequestVector.worst_case(params)
     demand.validate_for(params)
     codec_kind = choose_codec(params, codec)
-    if mode == "exact" and codec_kind != "real":
-        raise ValueError("exact mode needs the real codec (small f)")
+    if mode == "exact":
+        if codec_kind != "real":
+            raise ValueError("exact mode needs the real codec (small f)")
+        require_exact_fits(params, demand)
     args = [(params, demand, seed, t, mode, codec_kind, reconstruct) for t in range(trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

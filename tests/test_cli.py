@@ -2,12 +2,14 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
 from mdscache.cli import build_parser, dec_str, main
 from mdscache.delivery import require_enumerable
-from mdscache.params import SystemParams
+from mdscache.params import ParamError, RequestVector, SystemParams
+from mdscache.simulate import require_exact_fits
 from fractions import Fraction
 
 
@@ -62,6 +64,30 @@ def test_simulate_beyond_subset_budget_exits_2_at_once(capsys):
     for m in (0, 1):
         require_enumerable(SystemParams(n_files=2, k_prime=16, k=16, m=Fraction(m),
                                         r=Fraction(2), f=64))
+
+
+def test_exact_mode_beyond_matrix_budget_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "simulate", "--mode", "exact", "--codec", "real", "--n", "2",
+                       "--k", "3", "--m", "1", "--r", "2", "--f", "4096", "--trials", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "457 MB" in err and "256 MB" in err and "--mode accounting" in err
+
+
+def test_exact_matrix_check_allocates_nothing_and_admits_small_f():
+    tracemalloc.start()
+    try:
+        p = SystemParams(n_files=2, k_prime=3, k=3, m=Fraction(1), r=Fraction(2), f=4096)
+        with pytest.raises(ParamError, match="observation matrix"):
+            require_exact_fits(p, RequestVector.worst_case(p))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    # the verify preset's default f and the f=128 exact-mode benchmark point fit
+    for f in (64, 128):
+        p = SystemParams(n_files=2, k_prime=3, k=3, m=Fraction(1), r=Fraction(2), f=f)
+        require_exact_fits(p, RequestVector.worst_case(p))
 
 
 def test_sweep_csv_shape(capsys):

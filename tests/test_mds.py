@@ -1,14 +1,20 @@
 """Codec behavior: any f of n symbols reconstruct the data, none fewer."""
+import hashlib
 import itertools
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mdscache import mds
 from mdscache.gf import field
 from mdscache.mds import (CodecConfig, InsufficientSymbolsError,
                           generator_matrix, mds_decode, mds_encode)
+from mdscache.simulate import pseudo_symbols
 
 
 def naive_eval(gf, xs, ys, t):
@@ -165,3 +171,49 @@ def test_parity_only_decode():
     coded = mds_encode(data, config)
     got = mds_decode([(i, int(coded[i])) for i in range(8, 12)], config)
     assert np.array_equal(got, data)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(width=st.sampled_from([8, 16]), f=st.integers(1, 24), extra=st.integers(0, 24),
+       zero_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+       budget=st.one_of(st.integers(1, 600), st.just(mds._BLOCK_ELEMENTS)),
+       seed=st.integers(0, 2**32 - 1))
+@example(width=16, f=1, extra=0, zero_share=0.0, budget=mds._BLOCK_ELEMENTS, seed=0)  # f = 1, r = 1
+@example(width=8, f=1, extra=7, zero_share=0.0, budget=1, seed=1)
+@example(width=16, f=9, extra=0, zero_share=0.5, budget=20, seed=2)  # r = 1
+@example(width=8, f=24, extra=24, zero_share=0.9, budget=100, seed=3)  # 4-row blocks, 24 = 6 * 4
+@example(width=16, f=23, extra=17, zero_share=0.9, budget=100, seed=4)  # 17 targets in 4-row blocks
+def test_blocked_codec_matches_lagrange_and_roundtrips(width, f, extra, zero_share, budget, seed):
+    # the block budget sets the rows per kernel call; outputs must not depend on it
+    config = CodecConfig(f, f + extra, field_width=width)
+    gf = config.gf
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, gf.order, size=f).astype(np.int64)
+    data[rng.random(f) < zero_share] = 0  # zero w_j*y_j terms take the placeholder path
+    with mock.patch.object(mds, "_BLOCK_ELEMENTS", budget):
+        coded = mds_encode(data, config)
+        assert np.array_equal(coded[:f], data)
+        for t in range(f, config.n):
+            assert coded[t] == naive_eval(gf, list(range(f)), data.tolist(), t)
+        keep = rng.permutation(config.n)[:f]
+        got = mds_decode([(int(i), int(coded[i])) for i in keep], config)
+    assert np.array_equal(got, data)
+
+
+@pytest.mark.parametrize("f,n,width", [(1, 1, 16), (1, 4, 8), (6, 10, 16), (37, 100, 16),
+                                       (128, 256, 16), (200, 255, 8)])
+def test_generator_matrix_columns_are_unit_encodes(f, n, width):
+    config = CodecConfig(f, n, field_width=width)
+    gen = generator_matrix(config)
+    units = np.eye(f, dtype=np.int64)
+    want = np.stack([mds_encode(units[j], config) for j in range(f)], axis=1)
+    assert gen.dtype == want.dtype and np.array_equal(gen, want)
+
+
+def test_parity_pinned_at_benchmark_size():
+    # recorded with the per-target interpolation loop the blocked kernel replaced
+    coded = mds_encode(pseudo_symbols(1, 4096, 65535), CodecConfig(4096, 8192))
+    assert {i: int(coded[i]) for i in (4096, 4097, 5000, 6143, 8191)} == {
+        4096: 8880, 4097: 2342, 5000: 32800, 6143: 46473, 8191: 60026}
+    assert hashlib.sha256(coded.astype("<i8").tobytes()).hexdigest() == (
+        "1e7873db562e87116f4de1c7c9490bf6437dba81403b804ebcd302db0dbc8e98")

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdscache.analysis import rate_mds_dec
-from mdscache.params import RequestVector, SystemParams
+from mdscache.params import RequestVector, SystemParams, suggest_feasible_f
 from mdscache.simulate import (REAL_CODEC_MAX_F, choose_codec,
                                compare_to_theory, pseudo_symbols,
                                run_one_trial, run_trials)
@@ -106,6 +108,30 @@ def test_exact_mode_runs_rank_decoding():
         assert all(t.exact_successes)
     with pytest.raises(ValueError):
         run_trials(make(f=100000), trials=1, mode="exact")  # needs real codec
+
+
+@st.composite
+def small_feasible_points(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 5))
+    m = draw(st.fractions(0, n, max_denominator=2))
+    r = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)])
+             .filter(lambda r: r >= m / n))
+    f = suggest_feasible_f(n, m, r, draw(st.integers(2, 40)))
+    params = SystemParams(n_files=n, k_prime=k + draw(st.integers(0, 1)), k=k, m=m, r=r, f=f)
+    demand = RequestVector(tuple(draw(st.lists(st.integers(1, n), min_size=k, max_size=k))))
+    return params, demand
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(point=small_feasible_points(), seed=st.integers(0, 2**32 - 1))
+def test_exact_mode_every_user_decodes_on_random_points(point, seed):
+    # run_one_trial raises when accounting claims a success the rank oracle denies
+    params, demand = point
+    stats = run_trials(params, demand, trials=1, seed=seed, mode="exact", codec="real")
+    (trial,) = stats.trials
+    assert all(trial.successes)
+    assert all(trial.exact_successes)
 
 
 def test_rate_concentrates_at_large_f():
