@@ -3,9 +3,10 @@
 Two fidelities are implemented:
 
 * accounting: repeatedly strip XOR components whose symbols are already known
-  until a fixpoint, over the transmitted messages, the top-ups and the
-  skipped subset messages the schedule rebuilt as XOR combinations of
-  transmitted ones, then reconstruct the file from >= f known coded symbols
+  until a fixpoint, over the transmitted messages, the skipped subset
+  messages the schedule rebuilt as XOR combinations of transmitted ones and
+  the earlier users' top-ups, then add the user's own top-up and reconstruct
+  the file from >= f known coded symbols; ``deliver`` runs this same pass
 * exact: decide recoverability of the requested file by rank analysis of the
   user's linear observations over the symbol field (small f only)
 """
@@ -241,7 +242,6 @@ class DecodeResult:
     deficit: int
     symbols: np.ndarray | None
     failure: str | None
-    mode: str
     points: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
@@ -259,22 +259,32 @@ def decode_user(params: SystemParams, user: int,
     raise ValueError(f"unknown decode mode {mode!r}")
 
 
-def _decode_accounting(params, user, cache_view, schedule, codec) -> DecodeResult:
-    file0 = schedule.demand.zero_based[user]
-    know = seed_from_cache(cache_view, params.coded_len)
-    strip_fixpoint(know, [*schedule.messages, *schedule.topups, *schedule.virtuals])
-    known = know.count(file0)
-    deficit = max(0, params.f - known)
+def decode_points(params: SystemParams, user: int, points: tuple[np.ndarray, np.ndarray],
+                  codec: CodecConfig | None = None) -> DecodeResult:
+    """Accounting outcome for a user who knows `points`, the (indices, values)
+    of its requested file; with a codec, the file is reconstructed from them."""
+    idx, vals = points
+    deficit = max(0, params.f - len(idx))
     if deficit > 0:
-        return DecodeResult(False, known, deficit, None,
-                            _failure_text(know, schedule, user, file0, deficit),
-                            "accounting")
-    idx, vals = know.known_points(file0)
+        return DecodeResult(False, len(idx), deficit, None,
+                            f"user {user} is short {deficit} symbols", points=points)
     symbols = None
     if codec is not None:
         symbols = mds_decode(zip(idx.tolist(), vals.tolist()), codec)
-    return DecodeResult(True, known, 0, symbols, None, "accounting",
-                        points=(idx, vals))
+    return DecodeResult(True, len(idx), 0, symbols, None, points=points)
+
+
+def _decode_accounting(params, user, cache_view, schedule, codec) -> DecodeResult:
+    file0 = schedule.demand.zero_based[user]
+    know = seed_from_cache(cache_view, params.coded_len)
+    earlier = [m for m in schedule.topups if m.components[0].user < user]
+    own = [m for m in schedule.topups if m.components[0].user == user]
+    strip_fixpoint(know, [*schedule.messages, *schedule.virtuals, *earlier])
+    strip_fixpoint(know, own)
+    res = decode_points(params, user, know.known_points(file0), codec)
+    if not res.success:
+        res.failure = _failure_text(know, schedule, user, file0, res.deficit)
+    return res
 
 
 def _failure_text(know, schedule, user, file0, deficit) -> str:
@@ -325,7 +335,7 @@ def _decode_exact(params, user, cache_view, schedule, codec) -> DecodeResult:
     failure = None if success else (
         f"user {user}: observations pin down only {p_target} of {f} dimensions of file {file0 + 1}"
     )
-    return DecodeResult(success, p_target, deficit, None, failure, "exact")
+    return DecodeResult(success, p_target, deficit, None, failure)
 
 
 def _pivot_counts(gf, mat: np.ndarray, split: int) -> tuple[int, int]:

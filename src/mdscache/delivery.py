@@ -10,9 +10,10 @@ size whose full blocks would fill every cache.
 lengths; it is the only copy of the loop.  ``deliver`` executes the plan on
 expected block sizes and emits real payloads: message lengths are capped by
 each planned increment rounded up to whole symbols.  It rebuilds the skipped
-messages once per broadcast, since every receiver derives the same ones, and
-repairs any per-user shortfall from truncation with dedicated top-up symbols
-appended after the multicast phase.
+messages once per broadcast, since every receiver derives the same ones.  The
+server knows every cache, so it runs each receiver's pass, repairs any
+shortfall from truncation with dedicated top-up symbols appended after the
+multicast phase, and keeps what each user then knows of its requested file.
 """
 from __future__ import annotations
 
@@ -176,6 +177,8 @@ class DeliverySchedule:
     topups: list[BroadcastMessage]
     reconstruct: bool
     unsolved_skips: list[tuple[int, int]]
+    # per user: (indices, values) of its requested file after its own top-up
+    known_points: list[tuple[np.ndarray, np.ndarray]]
 
     @property
     def main_symbols(self) -> int:
@@ -291,27 +294,30 @@ def deliver(params: SystemParams, cache: CacheContents, d: RequestVector,
                 it.n_messages += int(is_main)
                 it.symbols += msg.length
 
-    # every receiver rebuilds the same skipped messages, so build them once
-    virtuals, unsolved = synthesize_skipped(k, u_mask, d0, messages)
+    # every receiver rebuilds the same skipped messages, so build them once;
+    # without reconstruction those subsets were broadcast as fallbacks
+    virtuals, unsolved = synthesize_skipped(k, u_mask, d0, messages) if reconstruct else ([], [])
 
-    # dedicated repair symbols for any user left short by truncation
-    received = messages + virtuals if reconstruct else messages
+    # each receiver's pass; dedicated repair symbols for any user left short by truncation
     topups: list[BroadcastMessage] = []
+    known_points: list[tuple[np.ndarray, np.ndarray]] = []
     for user in range(k):
         file0 = d0[user]
         view = {nf: (cache.indices(user, nf), coded_files[nf][cache.indices(user, nf)])
                 for nf in range(params.n_files)}
         know = seed_from_cache(view, params.coded_len)
-        strip_fixpoint(know, received + topups)
+        strip_fixpoint(know, messages + virtuals + topups)
         deficit = params.f - know.count(file0)
         if deficit > 0:
             missing = np.flatnonzero(~know.mask(file0))[:deficit]
             topups.append(direct_message(user, file0, missing, coded_files[file0][missing]))
+            know.add(file0, missing, topups[-1].payload)
+        known_points.append(know.known_points(file0))
 
     return DeliverySchedule(params=params, demand=d, leaders_mask=u_mask, s=plan.s,
                             iterations=plan.iterations, messages=messages,
                             virtuals=virtuals, topups=topups, reconstruct=reconstruct,
-                            unsolved_skips=unsolved if reconstruct else [])
+                            unsolved_skips=unsolved, known_points=known_points)
 
 
 def _build_message(smask: int, j: int, cap: int, d0, partitions, coded_files,

@@ -23,7 +23,7 @@ from statistics import stdev
 import numpy as np
 
 from .analysis import rate_mds_dec
-from .decoding import decode_user
+from .decoding import decode_points, decode_user
 from .delivery import ExpectedSizes, deliver, plan_schedule, require_enumerable
 from .mds import CodecConfig, mds_encode
 from .params import (ParamError, RequestVector, SystemParams, fraction_str,
@@ -148,9 +148,7 @@ def run_one_trial(params: SystemParams, demand: RequestVector, master_seed: int,
     exact: list[bool] = []
     d0 = demand.zero_based
     for user in range(params.k):
-        view = {nf: (cache.indices(user, nf), coded[nf][cache.indices(user, nf)])
-                for nf in range(params.n_files)}
-        res = decode_user(params, user, view, schedule, mode="accounting", codec=config)
+        res = decode_points(params, user, schedule.known_points[user], config)
         if res.success:
             idx, vals = res.points
             truth = coded[d0[user]][idx]
@@ -163,6 +161,8 @@ def run_one_trial(params: SystemParams, demand: RequestVector, master_seed: int,
         successes.append(res.success)
         known.append(res.known)
         if mode == "exact":
+            view = {nf: (cache.indices(user, nf), coded[nf][cache.indices(user, nf)])
+                    for nf in range(params.n_files)}
             res_x = decode_user(params, user, view, schedule, mode="exact", codec=config)
             if res.success and not res_x.success:
                 raise AssertionError(

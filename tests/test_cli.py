@@ -221,8 +221,8 @@ def test_config_key_typo_exits_2_with_closest_flag(tmp_path, capsys):
 # knowing more than f symbols; a change to seeded output must update these
 # digests and say so in CHANGES.md
 GOLDEN_LOGS = {
-    (): "999df745c4ca408caf73312a8816945511b8c19b0fe5ddfb1b4e539e28c9b2b3",
-    ("--no-reconstruct",): "c0fdd677913e28ec9c8ea8fcd019cd8c4ad074caef53e9a9437694ba233fa30c",
+    (): "ead5883d5eaacd4778bb82a93d83ecce83d8117406ffe01d16f4384a59f47001",
+    ("--no-reconstruct",): "82c21b0f85cdc9de9934be73b9bd7c979cce96bb534b9d05908f0dde11c81b78",
 }
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdscache.decoding import (UserKnowledge, decode_user, direct_message,
                                seed_from_cache, strip_fixpoint,
@@ -12,7 +14,7 @@ from mdscache.decoding import (UserKnowledge, decode_user, direct_message,
 from mdscache.delivery import deliver
 from mdscache.mds import CodecConfig, mds_encode
 from mdscache.params import (RequestVector, SystemParams, iter_subset_masks,
-                             subset_mask)
+                             subset_mask, suggest_feasible_f)
 from mdscache.placement import derive_seed, prefetch
 from mdscache.simulate import pseudo_symbols
 
@@ -230,3 +232,30 @@ def test_decode_with_fallback_schedule():
         acc = decode_user(p, user, view, schedule, codec=config)
         exa = decode_user(p, user, view, schedule, mode="exact", codec=config)
         assert acc.success and exa.success
+
+
+@st.composite
+def delivery_points(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 9))
+    m = draw(st.fractions(0, n, max_denominator=2))
+    r = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]))
+    f = suggest_feasible_f(n, m, r, draw(st.integers(2, 200)))
+    demand = RequestVector(tuple(draw(st.lists(st.integers(1, n), min_size=k, max_size=k))))
+    return make(n=n, kp=k, k=k, m=m, r=r, f=f), demand
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(point=delivery_points(), seed=st.integers(0, 2**32 - 1))
+def test_replay_of_delivered_schedule_equals_recorded_points(point, seed):
+    # trials read the points deliver's receiver pass recorded; decode_user is the reference
+    p, d = point
+    for reconstruct in (True, False):
+        cache, coded, schedule, _ = setup(p, d, seed, reconstruct=reconstruct)
+        for user in range(p.k):
+            res = decode_user(p, user, view_of(cache, coded, user, p.n_files), schedule)
+            idx, vals = schedule.known_points[user]
+            assert res.success, res.failure
+            assert np.array_equal(res.points[0], idx)
+            assert np.array_equal(res.points[1], vals)
+            assert np.array_equal(vals, coded[d.zero_based[user]][idx])

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdscache.analysis import rate_mds_dec, rate_uncoded_dec, stop_index
 from mdscache.delivery import (DeliverySchedule, ExpectedSizes, MeasuredSizes,
@@ -193,6 +195,7 @@ def test_deliver_fallback_broadcasts_leaderless_subsets():
     assert all(not mask & 0b0011 for mask in fallback_masks)
     assert schedule.fallback_symbols > 0
     assert schedule.unsolved_skips == []
+    assert schedule.virtuals == []  # the fallbacks already carry the skipped subsets
 
 
 def test_deliver_sentinel_schedules_nothing():
@@ -225,3 +228,23 @@ def test_rounding_overshoot_is_small_and_nonnegative():
     over = schedule.rounding_overshoot
     assert over >= 0
     assert over <= len(schedule.messages)  # at most one symbol per message
+
+
+@st.composite
+def planner_points(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 12))
+    m = draw(st.fractions(0, n, max_denominator=4))
+    r = draw(st.fractions(1, 5, max_denominator=2))
+    f = suggest_feasible_f(n, m, r, draw(st.integers(1, 64)))
+    demand = RequestVector(tuple(draw(st.lists(st.integers(1, n), min_size=k, max_size=k))))
+    return make(n=n, kp=k, k=k, m=m, r=r, f=f), demand
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(point=planner_points())
+def test_plan_total_equals_closed_form_at_random_demands(point):
+    # acceptance criterion 8 covers the worst-case demand only
+    p, d = point
+    plan = plan_schedule(p, d, ExpectedSizes(p))
+    assert plan.total == rate_mds_dec(p.n_files, p.m, p.k, p.r, n_distinct=d.n_distinct) * p.f
