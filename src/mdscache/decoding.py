@@ -2,13 +2,19 @@
 
 Two fidelities are implemented:
 
-* accounting: repeatedly strip XOR components whose symbols are already known
-  until a fixpoint, over the transmitted messages, the skipped subset
-  messages the schedule rebuilt as XOR combinations of transmitted ones and
-  the earlier users' top-ups, then add the user's own top-up and reconstruct
-  the file from >= f known coded symbols; ``deliver`` runs this same pass
+* accounting: add the earlier users' top-ups, strip XOR components whose
+  symbols are already known until a fixpoint over the transmitted messages
+  and the skipped subset messages the schedule rebuilt as XOR combinations of
+  transmitted ones, then add the user's own top-up and reconstruct the file
+  from >= f known coded symbols; ``deliver`` runs this same pass
 * exact: decide recoverability of the requested file by rank analysis of the
   user's linear observations over the symbol field (small f only)
+
+The stripping pass is event driven over a ``BroadcastIndex`` built once per
+broadcast.  A message yields when all but one of its components are known.
+Symbols added to one (file, block) can complete only components of that same
+block, because the blocks partition each file's coded indices; so after a
+message yields, only the components waiting on its block are checked again.
 """
 from __future__ import annotations
 
@@ -52,86 +58,259 @@ def direct_message(user: int, file: int, indices: np.ndarray, values: np.ndarray
 
 
 class UserKnowledge:
-    """Monotone per-file map of coded symbol index to value known by one user."""
+    """Monotone map of (file, coded symbol index) to value known by one user."""
 
-    def __init__(self, coded_len: int):
+    def __init__(self, n_files: int, coded_len: int):
         self.coded_len = coded_len
-        self._mask: dict[int, np.ndarray] = {}
-        self._vals: dict[int, np.ndarray] = {}
+        self._mask = np.zeros((n_files, coded_len), dtype=bool)
+        self._vals = np.zeros((n_files, coded_len), dtype=np.int64)
 
-    def _ensure(self, file: int) -> None:
-        if file not in self._mask:
-            self._mask[file] = np.zeros(self.coded_len, dtype=bool)
-            self._vals[file] = np.zeros(self.coded_len, dtype=np.int64)
-
+    # rows are indexed first: one-dimensional fancy indexing is the fast kind
     def add(self, file: int, indices: np.ndarray, values: np.ndarray) -> None:
-        self._ensure(file)
         self._mask[file][indices] = True
         self._vals[file][indices] = values
 
     def knows_all(self, file: int, indices: np.ndarray) -> bool:
         if len(indices) == 0:
             return True
-        if file not in self._mask:
-            return False
         return bool(self._mask[file][indices].all())
 
     def values(self, file: int, indices: np.ndarray) -> np.ndarray:
         return self._vals[file][indices]
 
     def count(self, file: int) -> int:
-        if file not in self._mask:
-            return 0
         return int(self._mask[file].sum())
 
     def mask(self, file: int) -> np.ndarray:
-        self._ensure(file)
         return self._mask[file]
 
     def known_points(self, file: int) -> tuple[np.ndarray, np.ndarray]:
-        self._ensure(file)
-        idx = np.flatnonzero(self._mask[file])
+        idx = np.flatnonzero(self._mask[file]).astype(np.int32)
         return idx, self._vals[file][idx]
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """Writable views of mask and values, symbol (file, i) at file * coded_len + i."""
+        return self._mask.reshape(-1), self._vals.reshape(-1)
 
 
 def seed_from_cache(cache_view: dict[int, tuple[np.ndarray, np.ndarray]],
-                    coded_len: int) -> UserKnowledge:
-    know = UserKnowledge(coded_len)
+                    n_files: int, coded_len: int) -> UserKnowledge:
+    know = UserKnowledge(n_files, coded_len)
     for file, (indices, values) in cache_view.items():
         know.add(file, indices, values)
     return know
 
 
-def strip_fixpoint(know: UserKnowledge, messages) -> None:
+def apply_direct(know: UserKnowledge, messages) -> None:
+    """Add the symbols of one-component messages, such as top-ups: each one
+    always yields its component."""
+    for msg in messages:
+        (c,) = msg.components
+        if len(c.indices):
+            know.add(c.file, c.indices, msg.payload[: len(c.indices)])
+
+
+@dataclass(frozen=True)
+class BroadcastIndex:
+    """Read-only index of a broadcast's messages for the receiver pass.
+
+    Built once per broadcast and shared by every receiver's pass; each pass
+    keeps its own counts.  Multi-component messages are numbered 0..M-1 and
+    their components 0..C-1, message by message.  Coded symbol i of a file
+    sits at position file * coded_len + i.  Every array is int32 except
+    `payload` (symbols) and `cat` (intp, so that gathers through it need no
+    cast).
+    """
+
+    coded_len: int
+    singles: tuple[BroadcastMessage, ...]     # one-component messages
+    components: tuple[MessageComponent, ...]  # the others' components, in order
+    msg_start: np.ndarray  # message i owns components msg_start[i]:msg_start[i+1]
+    pay_start: np.ndarray  # message i's payload starts at payload[pay_start[i]]
+    payload: np.ndarray    # the messages' payloads, concatenated
+    comp_msg: np.ndarray   # component -> message
+    comp_len: np.ndarray   # component -> number of covered indices
+    comp_off: np.ndarray   # component -> start of its segment in cat
+    comp_key: np.ndarray   # component -> (file, block) key
+    key_start: np.ndarray  # key q owns key_comps[key_start[q]:key_start[q+1]]
+    key_comps: np.ndarray
+    filled: np.ndarray     # the nonempty components
+    cat: np.ndarray        # their covered positions, concatenated in order
+
+    @classmethod
+    def build(cls, messages, coded_len: int) -> BroadcastIndex:
+        """Index the nonempty `messages` of a library coded to `coded_len` symbols per file.
+
+        Raises ValueError when two different (file, block) keys of
+        multi-component messages share a coded index: the pass rechecks a
+        component only when symbols of its own key are added.
+        """
+        live = [m for m in messages if m.length > 0]
+        multi = [m for m in live if len(m.components) > 1]
+        comps = tuple(c for m in multi for c in m.components)
+        sizes = [len(m.components) for m in multi]
+        msg_start = np.zeros(len(multi) + 1, dtype=np.int32)
+        np.cumsum(sizes, out=msg_start[1:])
+        lengths = np.array([m.length for m in multi], dtype=np.int64)
+        pay_start = (np.cumsum(lengths) - lengths).astype(np.int32)
+        payload = np.concatenate([m.payload for m in multi]) if multi else np.zeros(0, np.int64)
+        comp_msg = np.repeat(np.arange(len(multi), dtype=np.int32), sizes)
+        comp_file = np.fromiter((c.file for c in comps), np.int64, len(comps))
+        comp_len = np.fromiter((len(c.indices) for c in comps), np.int32, len(comps))
+        if np.any(comp_len > lengths[comp_msg]):
+            raise ValueError("a message component covers more symbols than the message carries")
+        # keys (file << 32 | block mask) are numbered in ascending order
+        full_key = comp_file << 32 | np.fromiter((c.block_mask for c in comps), np.int64,
+                                                 len(comps))
+        key_comps = np.argsort(full_key, kind="stable").astype(np.int32)
+        sorted_key = full_key[key_comps]
+        new_key = np.ones(len(comps), dtype=bool)
+        new_key[1:] = sorted_key[1:] != sorted_key[:-1]
+        key_start = np.append(np.flatnonzero(new_key), len(comps)).astype(np.int32)
+        comp_key = np.empty(len(comps), dtype=np.int32)
+        comp_key[key_comps] = np.cumsum(new_key) - 1
+
+        filled = np.flatnonzero(comp_len).astype(np.int32)
+        comp_off = np.zeros(len(comps), dtype=np.int32)
+        comp_off[filled] = np.cumsum(comp_len[filled]) - comp_len[filled]
+        cat = np.concatenate([comps[i].indices for i in filled.tolist()] or [[]]).astype(
+            np.intp, copy=False)
+        cat += np.repeat(comp_file[filled] * coded_len, comp_len[filled])
+        _require_partition(cat, np.repeat(comp_key[filled], comp_len[filled]),
+                           sorted_key[new_key], coded_len)
+
+        index = cls(coded_len, tuple(m for m in live if len(m.components) == 1), comps,
+                    msg_start, pay_start, payload, comp_msg, comp_len, comp_off, comp_key,
+                    key_start, key_comps, filled, cat)
+        for arr in (msg_start, pay_start, payload, comp_msg, comp_len, comp_off, comp_key,
+                    key_start, key_comps, filled, cat):
+            arr.flags.writeable = False
+        return index
+
+
+def _require_partition(cat: np.ndarray, elem_key: np.ndarray, keys: np.ndarray,
+                       coded_len: int) -> None:
+    """Raise ValueError when one position of `cat` carries two keys."""
+    if cat.size == 0:
+        return
+    owner = np.empty(int(cat.max()) + 1, dtype=np.min_scalar_type(keys.size))
+    owner[cat] = elem_key  # one of the keys at each position; any other one clashes
+    clash = np.flatnonzero(elem_key != owner[cat])
+    if clash.size:
+        e = int(clash[0])
+        file, index = divmod(int(cat[e]), coded_len)
+        a, b = (int(keys[q]) & 0xFFFFFFFF for q in sorted((owner[cat[e]], elem_key[e])))
+        raise ValueError(
+            f"coded index {index} of file {file + 1} lies in two blocks, the one "
+            f"cached by users {_subset_text(a)} and the one cached by users "
+            f"{_subset_text(b)}; the receiver pass needs the blocks to partition each file")
+
+
+def _subset_text(mask: int) -> str:
+    return "{" + ",".join(str(u) for u in mask_users(mask)) + "}"
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + lens[i] - 1, concatenated."""
+    ends = np.cumsum(lens, dtype=np.int32)
+    return (np.repeat(starts - (ends - lens), lens)
+            + np.arange(ends[-1] if lens.size else 0, dtype=np.int32))
+
+
+def _fully_known(mask: np.ndarray, ix: BroadcastIndex, comps: np.ndarray) -> np.ndarray:
+    """Per nonempty component: is every covered position known?"""
+    lens = ix.comp_len[comps]
+    covered = ix.cat[_ranges(ix.comp_off[comps], lens)]
+    return np.logical_and.reduceat(mask[covered], np.cumsum(lens) - lens)
+
+
+def strip_fixpoint(know: UserKnowledge, index: BroadcastIndex) -> None:
     """Strip known XOR components until no message yields anything new.
 
     A message yields its single unknown component's covered symbols once every
-    other component is fully known.
+    other component is fully known; a one-component message yields at once.
+    The pass counts each message's unknown components once, then lets all
+    ready messages yield together, wave after wave.  After a wave it rechecks
+    only the waiting components that share a (file, block) key with a
+    yielded one: the blocks partition each file's coded indices
+    (``BroadcastIndex.build`` checks this), so no other component can have
+    become known.  The fixpoint does not depend on the order of yields.
     """
-    pending = [m for m in messages if m.length > 0]
-    progress = True
-    while progress:
-        progress = False
-        remaining = []
-        for msg in pending:
-            unknown = [c for c in msg.components if not know.knows_all(c.file, c.indices)]
-            if len(unknown) == 0:
-                continue
-            if len(unknown) > 1:
-                remaining.append(msg)
-                continue
-            c = unknown[0]
-            lc = len(c.indices)
-            acc = msg.payload[:lc].copy()
-            for other in msg.components:
-                if other is c:
-                    continue
-                lo = min(len(other.indices), lc)
-                if lo:
-                    acc[:lo] ^= know.values(other.file, other.indices[:lo])
-            know.add(c.file, c.indices, acc)
-            progress = True
-        pending = remaining
+    ix = index
+    if know.coded_len != ix.coded_len:
+        raise ValueError(f"the index is for {ix.coded_len} coded symbols per file, "
+                         f"the receiver has {know.coded_len}")
+    apply_direct(know, ix.singles)
+    if ix.pay_start.size == 0:
+        return
+    mask, _ = know.flat()
+    known = np.ones(len(ix.comp_msg), dtype=bool)  # empty components stay known
+    known[ix.filled] = np.logical_and.reduceat(mask[ix.cat], ix.comp_off[ix.filled])
+    unknown = np.add.reduceat(~known, ix.msg_start[:-1], dtype=np.int32)
+    msg_size = np.diff(ix.msg_start)
+    key_size = np.diff(ix.key_start)
+    # every message with one unknown component yields in the next wave, and
+    # then has none, so the ready set is always exactly the count-1 messages
+    ready = np.flatnonzero(unknown == 1)
+    while ready.size:
+        members = _ranges(ix.msg_start[ready], msg_size[ready])
+        target = members[~known[members]]  # one per ready message, in order
+        sliced = ix.comp_len[target] >= _SLICE_LEN
+        for i, t in zip(ready[sliced].tolist(), target[sliced].tolist()):
+            _yield_sliced(know, ix, i, t)
+        if not sliced.all():
+            _yield_batch(know, ix, ready[~sliced], known, msg_size)
+        known[target] = True
+        unknown[ready] = 0
+
+        hit = np.zeros(key_size.size, dtype=bool)
+        hit[ix.comp_key[target]] = True
+        keys = np.flatnonzero(hit)
+        woken = ix.key_comps[_ranges(ix.key_start[keys], key_size[keys])]
+        woken = woken[~known[woken]]
+        newly = woken[_fully_known(mask, ix, woken)] if woken.size else woken
+        known[newly] = True
+        np.subtract.at(unknown, ix.comp_msg[newly], 1)
+        ready = np.flatnonzero(unknown == 1)
+
+
+# a target component at least this long yields through slices of its own
+# arrays; shorter ones yield together, where per-message Python work would
+# cost more than the symbols
+_SLICE_LEN = 64
+
+
+def _yield_sliced(know: UserKnowledge, ix: BroadcastIndex, i: int, target: int) -> None:
+    """Message i yields its unknown component `target`."""
+    c = ix.components[target]
+    lc = len(c.indices)
+    acc = ix.payload[ix.pay_start[i]: ix.pay_start[i] + lc].copy()
+    for x in range(ix.msg_start[i], ix.msg_start[i + 1]):
+        other = ix.components[x]
+        lo = min(len(other.indices), lc)
+        if x != target and lo:
+            acc[:lo] ^= know.values(other.file, other.indices[:lo])
+    know.add(c.file, c.indices, acc)
+
+
+def _yield_batch(know: UserKnowledge, ix: BroadcastIndex, ready: np.ndarray,
+                 known: np.ndarray, msg_size: np.ndarray) -> None:
+    """Every message in `ready` yields its one unknown component."""
+    mask, vals = know.flat()
+    members = _ranges(ix.msg_start[ready], msg_size[ready])
+    owner = np.repeat(np.arange(ready.size), msg_size[ready])
+    is_target = ~known[members]
+    target = members[is_target]
+    lc = ix.comp_len[target]
+    acc_start = np.cumsum(lc) - lc
+    acc = ix.payload[_ranges(ix.pay_start[ready], lc)]
+    others, o_owner = members[~is_target], owner[~is_target]
+    lo = np.minimum(ix.comp_len[others], lc[o_owner])
+    src = ix.cat[_ranges(ix.comp_off[others], lo)]
+    np.bitwise_xor.at(acc, _ranges(acc_start[o_owner], lo), vals[src])
+    dst = ix.cat[_ranges(ix.comp_off[target], lc)]
+    mask[dst] = True
+    vals[dst] = acc
 
 
 def synthesize_skipped(k: int, leaders_mask: int, demand0,
@@ -276,11 +455,11 @@ def decode_points(params: SystemParams, user: int, points: tuple[np.ndarray, np.
 
 def _decode_accounting(params, user, cache_view, schedule, codec) -> DecodeResult:
     file0 = schedule.demand.zero_based[user]
-    know = seed_from_cache(cache_view, params.coded_len)
-    earlier = [m for m in schedule.topups if m.components[0].user < user]
-    own = [m for m in schedule.topups if m.components[0].user == user]
-    strip_fixpoint(know, [*schedule.messages, *schedule.virtuals, *earlier])
-    strip_fixpoint(know, own)
+    know = seed_from_cache(cache_view, params.n_files, params.coded_len)
+    apply_direct(know, [m for m in schedule.topups if m.components[0].user < user])
+    strip_fixpoint(know, BroadcastIndex.build([*schedule.messages, *schedule.virtuals],
+                                              params.coded_len))
+    apply_direct(know, [m for m in schedule.topups if m.components[0].user == user])
     res = decode_points(params, user, know.known_points(file0), codec)
     if not res.success:
         res.failure = _failure_text(know, schedule, user, file0, res.deficit)
@@ -291,9 +470,9 @@ def _failure_text(know, schedule, user, file0, deficit) -> str:
     for msg in schedule.messages:
         for c in msg.components:
             if c.user == user and c.file == file0 and not know.knows_all(c.file, c.indices):
-                subset = ",".join(str(u) for u in mask_users(c.block_mask))
                 return (f"user {user} is short {deficit} symbols; first unrecovered block "
-                        f"is the one cached by users {{{subset}}} ({c.full_len} symbols)")
+                        f"is the one cached by users {_subset_text(c.block_mask)} "
+                        f"({c.full_len} symbols)")
     return (f"user {user} is short {deficit} symbols; every scheduled block was "
             f"recovered, the shortfall comes from per-message truncation")
 

@@ -10,10 +10,11 @@ size whose full blocks would fill every cache.
 lengths; it is the only copy of the loop.  ``deliver`` executes the plan on
 expected block sizes and emits real payloads: message lengths are capped by
 each planned increment rounded up to whole symbols.  It rebuilds the skipped
-messages once per broadcast, since every receiver derives the same ones.  The
-server knows every cache, so it runs each receiver's pass, repairs any
-shortfall from truncation with dedicated top-up symbols appended after the
-multicast phase, and keeps what each user then knows of its requested file.
+messages and indexes the broadcast once, since every receiver derives the
+same ones.  The server knows every cache, so it runs each receiver's pass over
+that index, repairs any shortfall from truncation with dedicated top-up
+symbols appended after the multicast phase, and keeps what each user then
+knows of its requested file.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import comb0, stop_index
-from .decoding import (BroadcastMessage, MessageComponent, direct_message,
-                       seed_from_cache, strip_fixpoint, synthesize_skipped)
+from .decoding import (BroadcastIndex, BroadcastMessage, MessageComponent, apply_direct,
+                       direct_message, seed_from_cache, strip_fixpoint, synthesize_skipped)
 from .params import (CacheContents, ParamError, RequestVector, SubfilePartition,
                      SystemParams, fraction_str, iter_subset_masks, mask_users,
                      require_valid, subset_mask)
@@ -177,7 +178,7 @@ class DeliverySchedule:
     topups: list[BroadcastMessage]
     reconstruct: bool
     unsolved_skips: list[tuple[int, int]]
-    # per user: (indices, values) of its requested file after its own top-up
+    # per user: (int32 indices, values) of its requested file after its own top-up
     known_points: list[tuple[np.ndarray, np.ndarray]]
 
     @property
@@ -299,14 +300,16 @@ def deliver(params: SystemParams, cache: CacheContents, d: RequestVector,
     virtuals, unsolved = synthesize_skipped(k, u_mask, d0, messages) if reconstruct else ([], [])
 
     # each receiver's pass; dedicated repair symbols for any user left short by truncation
+    index = BroadcastIndex.build(messages + virtuals, params.coded_len)
     topups: list[BroadcastMessage] = []
     known_points: list[tuple[np.ndarray, np.ndarray]] = []
     for user in range(k):
         file0 = d0[user]
         view = {nf: (cache.indices(user, nf), coded_files[nf][cache.indices(user, nf)])
                 for nf in range(params.n_files)}
-        know = seed_from_cache(view, params.coded_len)
-        strip_fixpoint(know, messages + virtuals + topups)
+        know = seed_from_cache(view, params.n_files, params.coded_len)
+        apply_direct(know, topups)
+        strip_fixpoint(know, index)
         deficit = params.f - know.count(file0)
         if deficit > 0:
             missing = np.flatnonzero(~know.mask(file0))[:deficit]

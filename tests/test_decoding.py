@@ -2,14 +2,17 @@
 import copy
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdscache.decoding import (UserKnowledge, decode_user, direct_message,
-                               seed_from_cache, strip_fixpoint,
+from mdscache import decoding
+from mdscache.decoding import (BroadcastIndex, BroadcastMessage, MessageComponent,
+                               UserKnowledge, apply_direct, decode_user,
+                               direct_message, seed_from_cache, strip_fixpoint,
                                synthesize_skipped)
 from mdscache.delivery import deliver
 from mdscache.mds import CodecConfig, mds_encode
@@ -45,8 +48,36 @@ def view_of(cache, coded, user, n_files):
             for nf in range(n_files)}
 
 
+def naive_strip(know: UserKnowledge, messages) -> None:
+    """Reference receiver pass: rescan every pending message until none yields."""
+    pending = [m for m in messages if m.length > 0]
+    progress = True
+    while progress:
+        progress = False
+        remaining = []
+        for msg in pending:
+            unknown = [c for c in msg.components if not know.knows_all(c.file, c.indices)]
+            if len(unknown) == 0:
+                continue
+            if len(unknown) > 1:
+                remaining.append(msg)
+                continue
+            c = unknown[0]
+            lc = len(c.indices)
+            acc = msg.payload[:lc].copy()
+            for other in msg.components:
+                if other is c:
+                    continue
+                lo = min(len(other.indices), lc)
+                if lo:
+                    acc[:lo] ^= know.values(other.file, other.indices[:lo])
+            know.add(c.file, c.indices, acc)
+            progress = True
+        pending = remaining
+
+
 def test_user_knowledge_mechanics():
-    know = UserKnowledge(10)
+    know = UserKnowledge(2, 10)
     assert know.count(0) == 0
     assert not know.knows_all(0, np.array([1]))
     assert know.knows_all(0, np.array([], dtype=np.int64))
@@ -66,15 +97,15 @@ def test_strip_learns_single_unknown_and_chains():
     d = RequestVector((1, 2, 1))
     cache, coded, schedule, _ = setup(p, d, 51)
     for user in range(p.k):
-        know = seed_from_cache(view_of(cache, coded, user, p.n_files), p.coded_len)
-        strip_fixpoint(know, list(schedule.messages) + list(schedule.topups))
+        know = seed_from_cache(view_of(cache, coded, user, p.n_files), p.n_files, p.coded_len)
+        strip_fixpoint(know, BroadcastIndex.build([*schedule.messages, *schedule.topups],
+                                                  p.coded_len))
         # every component involving this user's demand was recoverable
         file0 = d.zero_based[user]
         assert know.count(file0) >= p.f
 
 
 def test_strip_leaves_double_unknown_messages_alone():
-    from mdscache.decoding import BroadcastMessage, MessageComponent
     a_idx, a_val = np.array([0, 1]), np.array([5, 6], dtype=np.int64)
     b_idx, b_val = np.array([2, 3]), np.array([7, 8], dtype=np.int64)
     msg = BroadcastMessage(
@@ -82,24 +113,52 @@ def test_strip_leaves_double_unknown_messages_alone():
         components=(MessageComponent(0, 0, 0b10, a_idx, 2),
                     MessageComponent(1, 1, 0b01, b_idx, 2)),
         kind="main")
-    know = UserKnowledge(8)
-    strip_fixpoint(know, [msg])
+    index = BroadcastIndex.build([msg], 8)
+    know = UserKnowledge(2, 8)
+    strip_fixpoint(know, index)
     assert know.count(0) == 0 and know.count(1) == 0
     # once one side is known the other resolves on the next pass
     know.add(1, b_idx, b_val)
-    strip_fixpoint(know, [msg])
+    strip_fixpoint(know, index)
     assert know.count(0) == 2
     assert know.values(0, a_idx).tolist() == [5, 6]
 
 
 def test_direct_message_strips_immediately():
-    know = UserKnowledge(16)
+    know = UserKnowledge(2, 16)
     msg = direct_message(2, 1, np.array([4, 9]), np.array([44, 99]))
     assert msg.kind == "topup"
     assert msg.length == 2
-    strip_fixpoint(know, [msg])
+    strip_fixpoint(know, BroadcastIndex.build([msg], 16))
     assert know.count(1) == 2
     assert know.values(1, np.array([4, 9])).tolist() == [44, 99]
+
+
+def test_index_rejects_blocks_that_share_a_coded_index():
+    # index 3 of file 1 is claimed by the block cached by {0} and the one cached by {1}
+    def comp(user, file, block_mask, idx):
+        return MessageComponent(user, file, block_mask, np.array(idx), len(idx))
+    pair = [
+        BroadcastMessage(j=2, subset_mask=0b11, length=2, payload=np.zeros(2, dtype=np.int64),
+                         components=(comp(0, 0, 0b10, [2, 3]), comp(1, 1, 0b01, [0, 1])),
+                         kind="main"),
+        BroadcastMessage(j=2, subset_mask=0b101, length=2, payload=np.zeros(2, dtype=np.int64),
+                         components=(comp(0, 0, 0b100, [5, 6]), comp(2, 0, 0b01, [3, 4])),
+                         kind="main"),
+    ]
+    with pytest.raises(ValueError, match=r"coded index 3 of file 1 .* users \{0\} .* users \{1\}"):
+        BroadcastIndex.build(pair, 8)
+    # one-component messages, such as top-ups, may cover any indices
+    BroadcastIndex.build([pair[0], direct_message(0, 0, np.array([3, 5]), np.array([1, 2]))], 8)
+
+
+def test_index_rejects_component_longer_than_its_message():
+    comps = (MessageComponent(0, 0, 0b10, np.array([0, 1, 2]), 3),
+             MessageComponent(1, 1, 0b01, np.array([0]), 1))
+    msg = BroadcastMessage(j=2, subset_mask=0b11, length=2,
+                           payload=np.zeros(2, dtype=np.int64), components=comps)
+    with pytest.raises(ValueError, match="more symbols than the message carries"):
+        BroadcastIndex.build([msg], 4)
 
 
 def test_synthesized_message_equals_hand_xor():
@@ -235,9 +294,9 @@ def test_decode_with_fallback_schedule():
 
 
 @st.composite
-def delivery_points(draw):
+def delivery_points(draw, max_k=9):
     n = draw(st.integers(1, 4))
-    k = draw(st.integers(1, 9))
+    k = draw(st.integers(1, max_k))
     m = draw(st.fractions(0, n, max_denominator=2))
     r = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]))
     f = suggest_feasible_f(n, m, r, draw(st.integers(2, 200)))
@@ -259,3 +318,30 @@ def test_replay_of_delivered_schedule_equals_recorded_points(point, seed):
             assert np.array_equal(res.points[0], idx)
             assert np.array_equal(res.points[1], vals)
             assert np.array_equal(vals, coded[d.zero_based[user]][idx])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(point=delivery_points(max_k=10), seed=st.integers(0, 2**32 - 1))
+def test_event_driven_pass_equals_naive_strip(point, seed):
+    # the indexed pass against the rescanning loop it replaced, on every file;
+    # long targets yield through slices and short ones in a batch, so the pass
+    # also runs with every target on one side of that split
+    p, d = point
+    for reconstruct in (True, False):
+        cache, coded, schedule, _ = setup(p, d, seed, reconstruct=reconstruct)
+        broadcast = [*schedule.messages, *schedule.virtuals]
+        index = BroadcastIndex.build(broadcast, p.coded_len)
+        for user in range(p.k):
+            view = view_of(cache, coded, user, p.n_files)
+            earlier = [m for m in schedule.topups if m.components[0].user < user]
+            slow = seed_from_cache(view, p.n_files, p.coded_len)
+            naive_strip(slow, [*broadcast, *earlier])
+            for slice_len in (decoding._SLICE_LEN, 1, p.coded_len + 1):
+                fast = seed_from_cache(view, p.n_files, p.coded_len)
+                apply_direct(fast, earlier)
+                with mock.patch.object(decoding, "_SLICE_LEN", slice_len):
+                    strip_fixpoint(fast, index)
+                for nf in range(p.n_files):
+                    assert np.array_equal(fast.mask(nf), slow.mask(nf))
+                    known = np.flatnonzero(slow.mask(nf))
+                    assert np.array_equal(fast.values(nf, known), slow.values(nf, known))

@@ -111,13 +111,13 @@ def test_exact_mode_runs_rank_decoding():
 
 
 @st.composite
-def small_feasible_points(draw):
-    n = draw(st.integers(1, 3))
-    k = draw(st.integers(1, 5))
+def small_feasible_points(draw, max_n=3, min_k=1, max_k=5, max_f=40):
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(min_k, max_k))
     m = draw(st.fractions(0, n, max_denominator=2))
     r = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)])
              .filter(lambda r: r >= m / n))
-    f = suggest_feasible_f(n, m, r, draw(st.integers(2, 40)))
+    f = suggest_feasible_f(n, m, r, draw(st.integers(2, max_f)))
     params = SystemParams(n_files=n, k_prime=k + draw(st.integers(0, 1)), k=k, m=m, r=r, f=f)
     demand = RequestVector(tuple(draw(st.lists(st.integers(1, n), min_size=k, max_size=k))))
     return params, demand
@@ -127,6 +127,18 @@ def small_feasible_points(draw):
 @given(point=small_feasible_points(), seed=st.integers(0, 2**32 - 1))
 def test_exact_mode_every_user_decodes_on_random_points(point, seed):
     # run_one_trial raises when accounting claims a success the rank oracle denies
+    params, demand = point
+    stats = run_trials(params, demand, trials=1, seed=seed, mode="exact", codec="real")
+    (trial,) = stats.trials
+    assert all(trial.successes)
+    assert all(trial.exact_successes)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(point=small_feasible_points(max_n=4, min_k=6, max_k=12, max_f=64),
+       seed=st.integers(0, 2**32 - 1))
+def test_exact_mode_every_user_decodes_at_larger_k(point, seed):
+    # the same check where the receiver pass has the most messages to peel
     params, demand = point
     stats = run_trials(params, demand, trials=1, seed=seed, mode="exact", codec="real")
     (trial,) = stats.trials
