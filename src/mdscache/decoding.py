@@ -61,7 +61,6 @@ class UserKnowledge:
     """Monotone map of (file, coded symbol index) to value known by one user."""
 
     def __init__(self, n_files: int, coded_len: int):
-        self.coded_len = coded_len
         self._mask = np.zeros((n_files, coded_len), dtype=bool)
         self._vals = np.zeros((n_files, coded_len), dtype=np.int64)
 
@@ -115,16 +114,16 @@ class BroadcastIndex:
     """Read-only index of a broadcast's messages for the receiver pass.
 
     Built once per broadcast and shared by every receiver's pass; each pass
-    keeps its own counts.  Multi-component messages are numbered 0..M-1 and
-    their components 0..C-1, message by message.  Coded symbol i of a file
-    sits at position file * coded_len + i.  Every array is int32 except
-    `payload` (symbols) and `cat` (intp, so that gathers through it need no
-    cast).
+    keeps its own counts.  Only nonempty components are indexed, since an
+    empty one is known to every receiver.  Messages with at least two
+    components, one of them nonempty, are numbered 0..M-1 and their nonempty
+    components 0..C-1, message by message.  Coded symbol i of a file sits at
+    position file * coded_len + i.  Every array is int32 except `payload`
+    (symbols) and `cat` (intp: a gather through int32 indices casts them
+    first, which made the pass up to twice as slow on long components).
     """
 
-    coded_len: int
-    singles: tuple[BroadcastMessage, ...]     # one-component messages
-    components: tuple[MessageComponent, ...]  # the others' components, in order
+    singles: tuple[BroadcastMessage, ...]  # one-component messages
     msg_start: np.ndarray  # message i owns components msg_start[i]:msg_start[i+1]
     pay_start: np.ndarray  # message i's payload starts at payload[pay_start[i]]
     payload: np.ndarray    # the messages' payloads, concatenated
@@ -134,8 +133,7 @@ class BroadcastIndex:
     comp_key: np.ndarray   # component -> (file, block) key
     key_start: np.ndarray  # key q owns key_comps[key_start[q]:key_start[q+1]]
     key_comps: np.ndarray
-    filled: np.ndarray     # the nonempty components
-    cat: np.ndarray        # their covered positions, concatenated in order
+    cat: np.ndarray        # the components' covered positions, concatenated in order
 
     @classmethod
     def build(cls, messages, coded_len: int) -> BroadcastIndex:
@@ -146,9 +144,14 @@ class BroadcastIndex:
         component only when symbols of its own key are added.
         """
         live = [m for m in messages if m.length > 0]
-        multi = [m for m in live if len(m.components) > 1]
-        comps = tuple(c for m in multi for c in m.components)
-        sizes = [len(m.components) for m in multi]
+        multi, parts = [], []
+        for m in live:
+            part = [c for c in m.components if len(c.indices)]
+            if len(m.components) > 1 and part:
+                multi.append(m)
+                parts.append(part)
+        comps = [c for part in parts for c in part]
+        sizes = [len(part) for part in parts]
         msg_start = np.zeros(len(multi) + 1, dtype=np.int32)
         np.cumsum(sizes, out=msg_start[1:])
         lengths = np.array([m.length for m in multi], dtype=np.int64)
@@ -170,22 +173,16 @@ class BroadcastIndex:
         comp_key = np.empty(len(comps), dtype=np.int32)
         comp_key[key_comps] = np.cumsum(new_key) - 1
 
-        filled = np.flatnonzero(comp_len).astype(np.int32)
-        comp_off = np.zeros(len(comps), dtype=np.int32)
-        comp_off[filled] = np.cumsum(comp_len[filled]) - comp_len[filled]
-        cat = np.concatenate([comps[i].indices for i in filled.tolist()] or [[]]).astype(
-            np.intp, copy=False)
-        cat += np.repeat(comp_file[filled] * coded_len, comp_len[filled])
-        _require_partition(cat, np.repeat(comp_key[filled], comp_len[filled]),
-                           sorted_key[new_key], coded_len)
+        comp_off = (np.cumsum(comp_len) - comp_len).astype(np.int32)
+        cat = np.concatenate([c.indices for c in comps] or [[]]).astype(np.intp, copy=False)
+        cat += np.repeat(comp_file * coded_len, comp_len)
+        _require_partition(cat, np.repeat(comp_key, comp_len), sorted_key[new_key], coded_len)
 
-        index = cls(coded_len, tuple(m for m in live if len(m.components) == 1), comps,
-                    msg_start, pay_start, payload, comp_msg, comp_len, comp_off, comp_key,
-                    key_start, key_comps, filled, cat)
-        for arr in (msg_start, pay_start, payload, comp_msg, comp_len, comp_off, comp_key,
-                    key_start, key_comps, filled, cat):
+        arrays = (msg_start, pay_start, payload, comp_msg, comp_len, comp_off, comp_key,
+                  key_start, key_comps, cat)
+        for arr in arrays:
             arr.flags.writeable = False
-        return index
+        return cls(tuple(m for m in live if len(m.components) == 1), *arrays)
 
 
 def _require_partition(cat: np.ndarray, elem_key: np.ndarray, keys: np.ndarray,
@@ -218,7 +215,7 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 def _fully_known(mask: np.ndarray, ix: BroadcastIndex, comps: np.ndarray) -> np.ndarray:
-    """Per nonempty component: is every covered position known?"""
+    """Per component: is every covered position known?"""
     lens = ix.comp_len[comps]
     covered = ix.cat[_ranges(ix.comp_off[comps], lens)]
     return np.logical_and.reduceat(mask[covered], np.cumsum(lens) - lens)
@@ -237,15 +234,11 @@ def strip_fixpoint(know: UserKnowledge, index: BroadcastIndex) -> None:
     become known.  The fixpoint does not depend on the order of yields.
     """
     ix = index
-    if know.coded_len != ix.coded_len:
-        raise ValueError(f"the index is for {ix.coded_len} coded symbols per file, "
-                         f"the receiver has {know.coded_len}")
     apply_direct(know, ix.singles)
     if ix.pay_start.size == 0:
         return
     mask, _ = know.flat()
-    known = np.ones(len(ix.comp_msg), dtype=bool)  # empty components stay known
-    known[ix.filled] = np.logical_and.reduceat(mask[ix.cat], ix.comp_off[ix.filled])
+    known = np.logical_and.reduceat(mask[ix.cat], ix.comp_off)
     unknown = np.add.reduceat(~known, ix.msg_start[:-1], dtype=np.int32)
     msg_size = np.diff(ix.msg_start)
     key_size = np.diff(ix.key_start)
@@ -274,23 +267,28 @@ def strip_fixpoint(know: UserKnowledge, index: BroadcastIndex) -> None:
         ready = np.flatnonzero(unknown == 1)
 
 
-# a target component at least this long yields through slices of its own
-# arrays; shorter ones yield together, where per-message Python work would
-# cost more than the symbols
+# a target component at least this long yields through slices of the index's
+# arrays; shorter ones yield together.  In waves of 100 three-component
+# messages the batch costs less per message up to 64 symbols and more from
+# 128-256 on, since it reaches every symbol through a gathered index
 _SLICE_LEN = 64
 
 
 def _yield_sliced(know: UserKnowledge, ix: BroadcastIndex, i: int, target: int) -> None:
     """Message i yields its unknown component `target`."""
-    c = ix.components[target]
-    lc = len(c.indices)
+    mask, vals = know.flat()
+    first, end = ix.msg_start[i: i + 2].tolist()
+    offs, lens = ix.comp_off[first:end].tolist(), ix.comp_len[first:end].tolist()
+    t = target - first
+    lc = lens[t]
     acc = ix.payload[ix.pay_start[i]: ix.pay_start[i] + lc].copy()
-    for x in range(ix.msg_start[i], ix.msg_start[i + 1]):
-        other = ix.components[x]
-        lo = min(len(other.indices), lc)
-        if x != target and lo:
-            acc[:lo] ^= know.values(other.file, other.indices[:lo])
-    know.add(c.file, c.indices, acc)
+    for x, (off, length) in enumerate(zip(offs, lens)):
+        if x != t:
+            lo = min(length, lc)
+            acc[:lo] ^= vals[ix.cat[off: off + lo]]
+    dst = ix.cat[offs[t]: offs[t] + lc]
+    mask[dst] = True
+    vals[dst] = acc
 
 
 def _yield_batch(know: UserKnowledge, ix: BroadcastIndex, ready: np.ndarray,
@@ -536,8 +534,11 @@ def _pivot_counts(gf, mat: np.ndarray, split: int) -> tuple[int, int]:
         others = np.flatnonzero(mat[:, col] != 0)
         others = others[others != pr]
         if others.size:
-            factors = mat[others, col]
-            mat[others] ^= gf.mul_vec(factors[:, None], mat[pr][None, :])
+            # the factors are nonzero, and a zero of the pivot row changes
+            # nothing, so only its nonzero columns are multiplied out
+            nz = np.flatnonzero(mat[pr])
+            logs = gf.log_np[mat[others, col]][:, None] + gf.log_np[mat[pr, nz]]
+            mat[np.ix_(others, nz)] ^= gf.exp_np[logs]
         if col < split:
             p_left += 1
         else:
