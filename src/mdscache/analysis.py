@@ -7,6 +7,7 @@ probability that a user caches any given coded symbol.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .params import as_fraction
@@ -51,6 +52,7 @@ def accumulated_share(x: int, n_files: int, m, k: int, r) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=256)  # every delivery asks for it; it costs O(k^2) rational products
 def stop_index(n_files: int, m, k: int, r) -> int:
     """Smallest subset size the delivery loop reaches before caches fill.
 

@@ -10,6 +10,17 @@ Two fidelities are implemented:
 * exact: decide recoverability of the requested file by rank analysis of the
   user's linear observations over the symbol field (small f only)
 
+A broadcast is one columnar ``Broadcast`` record.  Per message it holds the
+subset size j, the receiver subset mask, the length, the kind and the number
+of components, and all payloads concatenated.  Per component, message by
+message, it holds the user who needs it, the file, the mask of the users
+caching the block, the number of covered indices and the block length before
+truncation, and all covered indices concatenated.  Delivery, skipped-message
+synthesis, the index and the receiver pass read these arrays; an accounting
+trial builds no per-message or per-component Python object.  Iterating a
+record yields ``BroadcastMessage`` views, for serialization, the exact
+decode, failure reports and tests.
+
 The stripping pass is event driven over a ``BroadcastIndex`` built once per
 broadcast.  A message yields when all but one of its components are known.
 Symbols added to one (file, block) can complete only components of that same
@@ -18,17 +29,21 @@ message yields, only the components waiting on its block are checked again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from .mds import CodecConfig, generator_matrix, mds_decode
-from .params import SystemParams, iter_subset_masks, mask_users
+from .params import SystemParams, mask_members, mask_users, subset_masks
+
+KINDS = ("main", "fallback", "virtual", "topup")
+MAIN, FALLBACK, VIRTUAL, TOPUP = range(len(KINDS))
 
 
 @dataclass(frozen=True)
 class MessageComponent:
-    """One XOR term: a prefix of user `user`'s needed block of file `file`."""
+    """View of one XOR term: a prefix of user `user`'s needed block of file `file`."""
 
     user: int
     file: int
@@ -39,7 +54,7 @@ class MessageComponent:
 
 @dataclass
 class BroadcastMessage:
-    """One multicast transmission: XOR of component block prefixes, truncated."""
+    """View of one multicast transmission: XOR of component block prefixes, truncated."""
 
     j: int
     subset_mask: int
@@ -49,18 +64,115 @@ class BroadcastMessage:
     kind: str = "main"  # main | fallback | topup | virtual
 
 
-def direct_message(user: int, file: int, indices: np.ndarray, values: np.ndarray,
-                   kind: str = "topup") -> BroadcastMessage:
-    comp = MessageComponent(user=user, file=file, block_mask=0,
-                            indices=indices, full_len=len(indices))
-    return BroadcastMessage(j=0, subset_mask=1 << user, length=len(indices),
-                            payload=values.copy(), components=(comp,), kind=kind)
+@dataclass(frozen=True, eq=False)
+class Broadcast:
+    """Columnar record of broadcast messages; see the module docstring.
+
+    Message i owns components msg_start[i]:msg_start[i+1] and payload
+    symbols pay_start[i]:pay_start[i]+length[i]; component c owns
+    cat[comp_off[c]:comp_off[c]+covered[c]].  Every array is int64 except
+    `kind` (int8, an index into KINDS).
+    """
+
+    j: np.ndarray
+    subset: np.ndarray
+    length: np.ndarray
+    kind: np.ndarray
+    size: np.ndarray     # components per message
+    payload: np.ndarray
+    user: np.ndarray     # per component from here on
+    file: np.ndarray
+    block: np.ndarray    # mask of the users caching the block
+    covered: np.ndarray  # covered indices, a prefix of the block
+    full: np.ndarray     # block length before truncation
+    cat: np.ndarray      # covered coded indices, concatenated in order
+
+    @classmethod
+    def empty(cls) -> Broadcast:
+        arrays = {f.name: np.zeros(0, dtype=np.int64) for f in fields(cls)}
+        return cls(**{**arrays, "kind": np.zeros(0, dtype=np.int8)})
+
+    @staticmethod
+    def concat(parts) -> Broadcast:
+        parts = list(parts)
+        if not parts:
+            return Broadcast.empty()
+        return Broadcast(*(np.concatenate([getattr(p, f.name) for p in parts])
+                           for f in fields(Broadcast)))
+
+    def __add__(self, other: Broadcast) -> Broadcast:
+        return Broadcast.concat([self, other])
+
+    def __len__(self) -> int:
+        return self.j.size
+
+    @cached_property
+    def msg_start(self) -> np.ndarray:
+        return np.append(0, np.cumsum(self.size))
+
+    @cached_property
+    def pay_start(self) -> np.ndarray:
+        return np.cumsum(self.length) - self.length
+
+    @cached_property
+    def comp_off(self) -> np.ndarray:
+        return np.cumsum(self.covered) - self.covered
+
+    def symbols(self, kind: int) -> int:
+        return int(self.length[self.kind == kind].sum())
+
+    def take(self, rows) -> Broadcast:
+        """The record of messages `rows`, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        comps = _ranges(self.msg_start[rows], self.size[rows])
+        per_msg = (self.j, self.subset, self.length, self.kind, self.size)
+        per_comp = (self.user, self.file, self.block, self.covered, self.full)
+        return Broadcast(*(a[rows] for a in per_msg),
+                         self.payload[_ranges(self.pay_start[rows], self.length[rows])],
+                         *(a[comps] for a in per_comp),
+                         self.cat[_ranges(self.comp_off[comps], self.covered[comps])])
+
+    def __getitem__(self, i: int) -> BroadcastMessage:
+        first, end = self.msg_start[i: i + 2].tolist()
+        offs = self.comp_off[first:end].tolist()
+        comps = tuple(
+            MessageComponent(user=u, file=nf, block_mask=bm,
+                             indices=self.cat[off: off + cov], full_len=full)
+            for u, nf, bm, cov, full, off in zip(
+                self.user[first:end].tolist(), self.file[first:end].tolist(),
+                self.block[first:end].tolist(), self.covered[first:end].tolist(),
+                self.full[first:end].tolist(), offs))
+        start, length = int(self.pay_start[i]), int(self.length[i])
+        return BroadcastMessage(j=int(self.j[i]), subset_mask=int(self.subset[i]),
+                                length=length, payload=self.payload[start: start + length],
+                                components=comps, kind=KINDS[self.kind[i]])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def direct_messages(parts) -> Broadcast:
+    """Top-ups: one-component messages that send (user, file, indices, values) outright."""
+    parts = list(parts)
+    if not parts:
+        return Broadcast.empty()
+    users, files, indices, values = zip(*parts)
+    lens = np.array([len(ix) for ix in indices], dtype=np.int64)
+    ones = np.ones(lens.size, dtype=np.int64)
+    users = np.array(users, dtype=np.int64)
+    return Broadcast(j=np.zeros_like(lens), subset=ones << users, length=lens,
+                     kind=np.full(lens.size, TOPUP, dtype=np.int8), size=ones,
+                     payload=np.concatenate(values).astype(np.int64),
+                     user=users, file=np.array(files, dtype=np.int64),
+                     block=np.zeros_like(lens), covered=lens, full=lens,
+                     cat=np.concatenate(indices).astype(np.int64))
 
 
 class UserKnowledge:
     """Monotone map of (file, coded symbol index) to value known by one user."""
 
     def __init__(self, n_files: int, coded_len: int):
+        self.coded_len = coded_len
         self._mask = np.zeros((n_files, coded_len), dtype=bool)
         self._vals = np.zeros((n_files, coded_len), dtype=np.int64)
 
@@ -100,13 +212,21 @@ def seed_from_cache(cache_view: dict[int, tuple[np.ndarray, np.ndarray]],
     return know
 
 
-def apply_direct(know: UserKnowledge, messages) -> None:
-    """Add the symbols of one-component messages, such as top-ups: each one
-    always yields its component."""
-    for msg in messages:
-        (c,) = msg.components
-        if len(c.indices):
-            know.add(c.file, c.indices, msg.payload[: len(c.indices)])
+def _direct_points(b: Broadcast, rows: np.ndarray, coded_len: int):
+    """Flat positions and values of the one-component messages `rows`."""
+    comps = b.msg_start[rows]
+    lens = b.covered[comps]
+    pos = b.cat[_ranges(b.comp_off[comps], lens)] + np.repeat(b.file[comps] * coded_len, lens)
+    return pos, b.payload[_ranges(b.pay_start[rows], lens)]
+
+
+def apply_direct(know: UserKnowledge, messages: Broadcast) -> None:
+    """Add the symbols of a record of one-component messages, such as top-ups:
+    each one always yields its component."""
+    mask, vals = know.flat()
+    pos, values = _direct_points(messages, np.arange(len(messages)), know.coded_len)
+    mask[pos] = True
+    vals[pos] = values
 
 
 @dataclass(frozen=True)
@@ -118,15 +238,17 @@ class BroadcastIndex:
     empty one is known to every receiver.  Messages with at least two
     components, one of them nonempty, are numbered 0..M-1 and their nonempty
     components 0..C-1, message by message.  Coded symbol i of a file sits at
-    position file * coded_len + i.  Every array is int32 except `payload`
-    (symbols) and `cat` (intp: a gather through int32 indices casts them
-    first, which made the pass up to twice as slow on long components).
+    position file * coded_len + i.  Every array is int32 except `payload`,
+    `single_val` (symbols), and `cat` and `single_pos` (intp: a gather through
+    int32 indices casts them first, which made the pass up to twice as slow on
+    long components).
     """
 
-    singles: tuple[BroadcastMessage, ...]  # one-component messages
+    single_pos: np.ndarray  # one-component messages' covered positions, concatenated
+    single_val: np.ndarray  # and their symbols
     msg_start: np.ndarray  # message i owns components msg_start[i]:msg_start[i+1]
     pay_start: np.ndarray  # message i's payload starts at payload[pay_start[i]]
-    payload: np.ndarray    # the messages' payloads, concatenated
+    payload: np.ndarray    # the record's payloads, concatenated
     comp_msg: np.ndarray   # component -> message
     comp_len: np.ndarray   # component -> number of covered indices
     comp_off: np.ndarray   # component -> start of its segment in cat
@@ -136,53 +258,53 @@ class BroadcastIndex:
     cat: np.ndarray        # the components' covered positions, concatenated in order
 
     @classmethod
-    def build(cls, messages, coded_len: int) -> BroadcastIndex:
-        """Index the nonempty `messages` of a library coded to `coded_len` symbols per file.
+    def build(cls, broadcast: Broadcast, coded_len: int) -> BroadcastIndex:
+        """Index the nonempty messages of `broadcast`, a library coded to
+        `coded_len` symbols per file.
 
         Raises ValueError when two different (file, block) keys of
         multi-component messages share a coded index: the pass rechecks a
         component only when symbols of its own key are added.
         """
-        live = [m for m in messages if m.length > 0]
-        multi, parts = [], []
-        for m in live:
-            part = [c for c in m.components if len(c.indices)]
-            if len(m.components) > 1 and part:
-                multi.append(m)
-                parts.append(part)
-        comps = [c for part in parts for c in part]
-        sizes = [len(part) for part in parts]
-        msg_start = np.zeros(len(multi) + 1, dtype=np.int32)
-        np.cumsum(sizes, out=msg_start[1:])
-        lengths = np.array([m.length for m in multi], dtype=np.int64)
-        pay_start = (np.cumsum(lengths) - lengths).astype(np.int32)
-        payload = np.concatenate([m.payload for m in multi]) if multi else np.zeros(0, np.int64)
-        comp_msg = np.repeat(np.arange(len(multi), dtype=np.int32), sizes)
-        comp_file = np.fromiter((c.file for c in comps), np.int64, len(comps))
-        comp_len = np.fromiter((len(c.indices) for c in comps), np.int32, len(comps))
-        if np.any(comp_len > lengths[comp_msg]):
+        b = broadcast
+        live = b.length > 0
+        owner = np.repeat(np.arange(len(b)), b.size)
+        nonempty = b.covered > 0
+        multi = live & (b.size > 1)
+        multi &= np.bincount(owner[nonempty], minlength=len(b)) > 0
+        single_pos, single_val = _direct_points(b, np.flatnonzero(live & (b.size == 1)),
+                                                coded_len)
+        comps = np.flatnonzero(nonempty & multi[owner])
+        comp_msg = (np.cumsum(multi) - 1)[owner[comps]].astype(np.int32)
+        msg_start = np.zeros(np.count_nonzero(multi) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(comp_msg, minlength=msg_start.size - 1), out=msg_start[1:])
+        comp_len = b.covered[comps].astype(np.int32)
+        if np.any(comp_len > b.length[owner[comps]]):
             raise ValueError("a message component covers more symbols than the message carries")
+        comp_file = b.file[comps]
         # keys (file << 32 | block mask) are numbered in ascending order
-        full_key = comp_file << 32 | np.fromiter((c.block_mask for c in comps), np.int64,
-                                                 len(comps))
+        full_key = comp_file << 32 | b.block[comps]
         key_comps = np.argsort(full_key, kind="stable").astype(np.int32)
         sorted_key = full_key[key_comps]
-        new_key = np.ones(len(comps), dtype=bool)
+        new_key = np.ones(comps.size, dtype=bool)
         new_key[1:] = sorted_key[1:] != sorted_key[:-1]
-        key_start = np.append(np.flatnonzero(new_key), len(comps)).astype(np.int32)
-        comp_key = np.empty(len(comps), dtype=np.int32)
+        key_start = np.append(np.flatnonzero(new_key), comps.size).astype(np.int32)
+        comp_key = np.empty(comps.size, dtype=np.int32)
         comp_key[key_comps] = np.cumsum(new_key) - 1
 
         comp_off = (np.cumsum(comp_len) - comp_len).astype(np.int32)
-        cat = np.concatenate([c.indices for c in comps] or [[]]).astype(np.intp, copy=False)
+        indexed = np.zeros(len(b.covered), dtype=bool)
+        indexed[comps] = True
+        cat = b.cat[np.repeat(indexed, b.covered)].astype(np.intp, copy=False)
         cat += np.repeat(comp_file * coded_len, comp_len)
         _require_partition(cat, np.repeat(comp_key, comp_len), sorted_key[new_key], coded_len)
 
-        arrays = (msg_start, pay_start, payload, comp_msg, comp_len, comp_off, comp_key,
-                  key_start, key_comps, cat)
+        arrays = (single_pos.astype(np.intp, copy=False), single_val, msg_start,
+                  b.pay_start[multi].astype(np.int32), b.payload, comp_msg, comp_len,
+                  comp_off, comp_key, key_start, key_comps, cat)
         for arr in arrays:
             arr.flags.writeable = False
-        return cls(tuple(m for m in live if len(m.components) == 1), *arrays)
+        return cls(*arrays)
 
 
 def _require_partition(cat: np.ndarray, elem_key: np.ndarray, keys: np.ndarray,
@@ -234,10 +356,11 @@ def strip_fixpoint(know: UserKnowledge, index: BroadcastIndex) -> None:
     become known.  The fixpoint does not depend on the order of yields.
     """
     ix = index
-    apply_direct(know, ix.singles)
+    mask, vals = know.flat()
+    mask[ix.single_pos] = True
+    vals[ix.single_pos] = ix.single_val
     if ix.pay_start.size == 0:
         return
-    mask, _ = know.flat()
     known = np.logical_and.reduceat(mask[ix.cat], ix.comp_off)
     unknown = np.add.reduceat(~known, ix.msg_start[:-1], dtype=np.int32)
     msg_size = np.diff(ix.msg_start)
@@ -312,39 +435,42 @@ def _yield_batch(know: UserKnowledge, ix: BroadcastIndex, ready: np.ndarray,
 
 
 def synthesize_skipped(k: int, leaders_mask: int, demand0,
-                       messages) -> tuple[list[BroadcastMessage], list[tuple[int, int]]]:
+                       messages: Broadcast) -> tuple[Broadcast, list[tuple[int, int]]]:
     """Rebuild each skipped subset's message as an XOR of transmitted ones.
 
     Works per subset size over GF(2): each transmitted message is a vector over
     the blocks it XORs; Gaussian elimination finds a combination matching the
-    skipped subset's blocks.  Returns (virtual messages, unsolved (j, mask)).
+    skipped subset's blocks.  Blocks are numbered in order of first appearance,
+    messages first, then each skipped subset's blocks in user order.  Returns
+    (a record of the virtual messages, unsolved (j, mask)).
     """
-    virtuals: list[BroadcastMessage] = []
+    b = messages
+    d0 = np.asarray(demand0, dtype=np.int64)
+    sent = ((b.kind == MAIN) | (b.kind == FALLBACK)) & (b.length > 0)
+    virtuals: list[Broadcast] = []
     unsolved: list[tuple[int, int]] = []
-    by_j: dict[int, list[BroadcastMessage]] = {}
-    for m in messages:
-        if m.kind in ("main", "fallback") and m.length > 0:
-            by_j.setdefault(m.j, []).append(m)
-    for j, msgs in by_j.items():
+    for j in dict.fromkeys(b.j[sent].tolist()):
         if j < 2:
             # a skipped singleton duplicates its file leader's plain message
             continue
-        skipped = [s for s in iter_subset_masks(k, j) if not s & leaders_mask]
-        if not skipped:
+        subsets = subset_masks(k, j)
+        skipped = subsets[(subsets & leaders_mask) == 0]
+        if not skipped.size:
             continue
-        block_ids: dict[tuple[int, int], int] = {}
-
-        def vec_of(components) -> int:
-            v = 0
-            for file, bmask in components:
-                bid = block_ids.setdefault((file, bmask), len(block_ids))
-                v ^= 1 << bid
-            return v
+        rows = np.flatnonzero(sent & (b.j == j))
+        comps = _ranges(b.msg_start[rows], b.size[rows]).reshape(rows.size, j)
+        users = mask_members(skipped, k, j)
+        targets = d0[users] << 32 | (skipped[:, None] & ~(1 << users))
+        keys = np.concatenate([(b.file[comps] << 32 | b.block[comps]).ravel(), targets.ravel()])
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        rank = np.empty(uniq.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(uniq.size)
+        ids = rank[inverse].reshape(-1, j)
+        first = np.sort(first)  # block number -> its first position in keys
 
         basis: dict[int, tuple[int, int]] = {}  # msb -> (vector, combo over messages)
-        for i, m in enumerate(msgs):
-            v = vec_of((c.file, c.block_mask) for c in m.components)
-            combo = 1 << i
+        for i, row in enumerate(ids[: rows.size].tolist()):
+            v, combo = _bitset(row), 1 << i
             while v:
                 h = v.bit_length() - 1
                 if h in basis:
@@ -354,62 +480,83 @@ def synthesize_skipped(k: int, leaders_mask: int, demand0,
                 else:
                     basis[h] = (v, combo)
                     break
-        for smask in skipped:
-            target = [(demand0[u], smask & ~(1 << u)) for u in mask_users(smask)]
-            v = vec_of(target)
-            combo = 0
+        pair_t, pair_r = [], []
+        for t, row in enumerate(ids[rows.size:].tolist()):
+            v, combo = _bitset(row), 0
             while v:
                 h = v.bit_length() - 1
                 if h not in basis:
-                    combo = None
+                    combo = 0
                     break
                 bv, bc = basis[h]
                 v ^= bv
                 combo ^= bc
-            if combo is None or combo == 0:
-                unsolved.append((j, smask))
-                continue
-            sel = [msgs[i] for i in range(len(msgs)) if combo >> i & 1]
-            built = _combine(sel, smask, j, set(target))
-            if built is None:
-                unsolved.append((j, smask))
-            else:
-                virtuals.append(built)
-    return virtuals, unsolved
+            while combo:
+                low = combo & -combo
+                pair_t.append(t)
+                pair_r.append(low.bit_length() - 1)
+                combo ^= low
+        built, solved = _combine(b, rows, np.array(pair_r, dtype=np.intp),
+                                 np.array(pair_t, dtype=np.intp), skipped, users, targets,
+                                 comps.ravel(), first[ids[rows.size:]])
+        virtuals.append(built)
+        unsolved += [(j, s) for s in skipped[~solved].tolist()]
+    return Broadcast.concat(virtuals), unsolved
 
 
-def _combine(sel: list[BroadcastMessage], smask: int, j: int,
-             expected: set[tuple[int, int]]) -> BroadcastMessage | None:
-    length = min(m.length for m in sel)
-    if length == 0:
-        return None
-    payload = np.zeros(length, dtype=np.int64)
-    survivors: dict[tuple[int, int], MessageComponent] = {}
-    parity: dict[tuple[int, int], int] = {}
-    for m in sel:
-        payload ^= m.payload[:length]
-        for c in m.components:
-            key = (c.file, c.block_mask)
-            parity[key] = parity.get(key, 0) ^ 1
-            prev = survivors.get(key)
-            if prev is None or len(c.indices) > len(prev.indices):
-                survivors[key] = c
-    odd = {key for key, p in parity.items() if p}
-    if odd != expected:
-        return None
-    comps = []
-    for key in sorted(odd):
-        src = survivors[key]
-        user_mask = smask & ~key[1]
-        if user_mask.bit_count() != 1:
-            return None
-        covered = src.indices[: min(length, src.full_len)]
-        comps.append(MessageComponent(
-            user=user_mask.bit_length() - 1, file=key[0], block_mask=key[1],
-            indices=covered, full_len=src.full_len,
-        ))
-    return BroadcastMessage(j=j, subset_mask=smask, length=length, payload=payload,
-                            components=tuple(comps), kind="virtual")
+def _bitset(ids) -> int:
+    v = 0
+    for i in ids:
+        v ^= 1 << i
+    return v
+
+
+def _combine(b: Broadcast, rows: np.ndarray, pair_r: np.ndarray, pair_t: np.ndarray,
+             skipped: np.ndarray, users: np.ndarray, targets: np.ndarray,
+             comps: np.ndarray, first: np.ndarray) -> tuple[Broadcast, np.ndarray]:
+    """XOR the messages b[rows[pair_r]] for each skipped subset skipped[pair_t].
+
+    Pairs come grouped by subset, messages ascending within a subset.
+    `users` and `targets` hold each skipped subset's users and their
+    (file << 32 | block) keys, and `first` the position in `comps`, the rows'
+    components, where each of those blocks first occurs, if it does.  The blocks the combination leaves an odd
+    number of times are exactly the subset's own, since the elimination
+    matched its vector.  A subset is solved when its combination is nonempty
+    and its shortest message is too; each block then sends a prefix as long
+    as that message.  Every row of one size covers the same prefix of a
+    block, the block capped at the iteration's cap, so any occurrence serves.
+    Returns (record of the solved subsets' messages, solved flag per subset).
+    """
+    n_t, j = users.shape
+    length = np.zeros(n_t, dtype=np.int64)
+    group = np.flatnonzero(np.diff(pair_t, prepend=-1))
+    msg = rows[pair_r]
+    if pair_t.size:
+        length[pair_t[group]] = np.minimum.reduceat(b.length[msg], group)
+    out = np.flatnonzero(length > 0)
+    lens = length[out]
+    by_key = np.argsort(targets[out], axis=1)
+    src = comps[np.take_along_axis(first[out], by_key, 1)].ravel()
+    cov = np.minimum(b.covered[src], np.repeat(lens, j))
+
+    payload = np.zeros(int(lens.sum()), dtype=np.int64)
+    pay_start = np.cumsum(lens) - lens
+    at = np.full(n_t, -1, dtype=np.intp)
+    at[out] = np.arange(out.size)
+    pair_out = at[pair_t]
+    level = np.arange(pair_t.size) - np.repeat(group, np.diff(np.append(group, pair_t.size)))
+    for lv in range(int(level.max()) + 1 if level.size else 0):
+        sel = (level == lv) & (pair_out >= 0)
+        dst, r = pair_out[sel], msg[sel]
+        payload[_ranges(pay_start[dst], lens[dst])] ^= b.payload[_ranges(b.pay_start[r],
+                                                                         lens[dst])]
+    record = Broadcast(
+        j=np.full(out.size, j, dtype=np.int64), subset=skipped[out], length=lens,
+        kind=np.full(out.size, VIRTUAL, dtype=np.int8), size=np.full(out.size, j, dtype=np.int64),
+        payload=payload, user=np.take_along_axis(users[out], by_key, 1).ravel(),
+        file=b.file[src], block=b.block[src], covered=cov, full=b.full[src],
+        cat=b.cat[_ranges(b.comp_off[src], cov)])
+    return record, length > 0
 
 
 @dataclass
@@ -454,10 +601,11 @@ def decode_points(params: SystemParams, user: int, points: tuple[np.ndarray, np.
 def _decode_accounting(params, user, cache_view, schedule, codec) -> DecodeResult:
     file0 = schedule.demand.zero_based[user]
     know = seed_from_cache(cache_view, params.n_files, params.coded_len)
-    apply_direct(know, [m for m in schedule.topups if m.components[0].user < user])
-    strip_fixpoint(know, BroadcastIndex.build([*schedule.messages, *schedule.virtuals],
+    topups = schedule.topups
+    apply_direct(know, topups.take(np.flatnonzero(topups.user < user)))
+    strip_fixpoint(know, BroadcastIndex.build(schedule.messages + schedule.virtuals,
                                               params.coded_len))
-    apply_direct(know, [m for m in schedule.topups if m.components[0].user == user])
+    apply_direct(know, topups.take(np.flatnonzero(topups.user == user)))
     res = decode_points(params, user, know.known_points(file0), codec)
     if not res.success:
         res.failure = _failure_text(know, schedule, user, file0, res.deficit)

@@ -9,10 +9,14 @@ size whose full blocks would fill every cache.
 ``plan_schedule`` runs the loop on given block sizes and keeps exact rational
 lengths; it is the only copy of the loop.  ``deliver`` executes the plan on
 expected block sizes and emits real payloads: message lengths are capped by
-each planned increment rounded up to whole symbols.  It rebuilds the skipped
+each planned increment rounded up to whole symbols.  Each iteration's
+messages are built together as arrays, one row per subset and one column per
+member, and kept in the columnar ``Broadcast`` record (see ``decoding``):
+messages, skipped-subset messages and top-ups are three such records, and a
+trial builds no per-message object.  ``deliver`` rebuilds the skipped
 messages and indexes the broadcast once, since every receiver derives the
-same ones.  The server knows every cache, so it runs each receiver's pass over
-that index, repairs any shortfall from truncation with dedicated top-up
+same ones.  The server knows every cache, so it runs each receiver's pass
+over that index, repairs any shortfall from truncation with dedicated top-up
 symbols appended after the multicast phase, and keeps what each user then
 knows of its requested file.
 """
@@ -25,11 +29,11 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import comb0, stop_index
-from .decoding import (BroadcastIndex, BroadcastMessage, MessageComponent, apply_direct,
-                       direct_message, seed_from_cache, strip_fixpoint, synthesize_skipped)
+from .decoding import (FALLBACK, MAIN, Broadcast, BroadcastIndex, _ranges, direct_messages,
+                       seed_from_cache, strip_fixpoint, synthesize_skipped)
 from .params import (CacheContents, ParamError, RequestVector, SubfilePartition,
-                     SystemParams, fraction_str, iter_subset_masks, mask_users,
-                     require_valid, subset_mask)
+                     SystemParams, fraction_str, iter_subset_masks, mask_members,
+                     mask_users, require_valid, subset_mask, subset_masks)
 from .placement import expected_subfile_size, partition_subfiles
 
 
@@ -113,8 +117,16 @@ class PlannedMessage:
 class SchedulePlan:
     s: int
     iterations: list[IterationPlan]
-    messages: list[PlannedMessage]
     total: Fraction
+    k: int
+    leaders_mask: int
+
+    @property
+    def messages(self) -> list[PlannedMessage]:
+        """One message per leader subset of every iteration with a positive increment."""
+        return [PlannedMessage(j=it.j, subset_mask=smask, length=it.incr)
+                for it in self.iterations if it.incr > 0
+                for smask in iter_subset_masks(self.k, it.j) if smask & self.leaders_mask]
 
 
 def plan_schedule(params: SystemParams, d: RequestVector, sizes) -> SchedulePlan:
@@ -132,9 +144,9 @@ def plan_schedule(params: SystemParams, d: RequestVector, sizes) -> SchedulePlan
     f_total = Fraction(params.f)
     acc = Fraction(params.m * params.f, params.n_files)
     iterations: list[IterationPlan] = []
-    messages: list[PlannedMessage] = []
+    total = Fraction(0)
     if acc >= f_total:
-        return SchedulePlan(s=k + 1, iterations=[], messages=[], total=Fraction(0))
+        return SchedulePlan(s=k + 1, iterations=[], total=total, k=k, leaders_mask=u_mask)
     demanded = sorted(set(d0))
     for j in range(k, 0, -1):
         if getattr(sizes, "uniform", False):
@@ -150,16 +162,12 @@ def plan_schedule(params: SystemParams, d: RequestVector, sizes) -> SchedulePlan
         c = comb0(k - 1, j - 1)
         acc_new = acc + seg * c
         incr = min(seg * c, f_total - acc) / c
-        n_msg = 0
-        if incr > 0:
-            for smask in iter_subset_masks(k, j):
-                if smask & u_mask:
-                    messages.append(PlannedMessage(j=j, subset_mask=smask, length=incr))
-                    n_msg += 1
+        n_msg = int(np.count_nonzero(subset_masks(k, j) & u_mask)) if incr > 0 else 0
+        total += n_msg * incr
         iterations.append(IterationPlan(j, seg, acc, acc_new, incr, None, n_msg))
         if acc_new >= f_total:
-            return SchedulePlan(s=j, iterations=iterations, messages=messages,
-                                total=sum((m.length for m in messages), Fraction(0)))
+            return SchedulePlan(s=j, iterations=iterations, total=total, k=k,
+                                leaders_mask=u_mask)
         acc = acc_new
     raise AssertionError("r >= 1 guarantees caches fill by subset size 1")
 
@@ -173,9 +181,9 @@ class DeliverySchedule:
     leaders_mask: int
     s: int
     iterations: list[IterationPlan]
-    messages: list[BroadcastMessage]
-    virtuals: list[BroadcastMessage]  # skipped subsets, rebuilt from messages
-    topups: list[BroadcastMessage]
+    messages: Broadcast
+    virtuals: Broadcast  # skipped subsets, rebuilt from messages
+    topups: Broadcast
     reconstruct: bool
     unsolved_skips: list[tuple[int, int]]
     # per user: (int32 indices, values) of its requested file after its own top-up
@@ -183,15 +191,15 @@ class DeliverySchedule:
 
     @property
     def main_symbols(self) -> int:
-        return sum(m.length for m in self.messages if m.kind == "main")
+        return self.messages.symbols(MAIN)
 
     @property
     def fallback_symbols(self) -> int:
-        return sum(m.length for m in self.messages if m.kind == "fallback")
+        return self.messages.symbols(FALLBACK)
 
     @property
     def topup_symbols(self) -> int:
-        return sum(m.length for m in self.topups)
+        return int(self.topups.length.sum())
 
     @property
     def total_symbols(self) -> int:
@@ -200,11 +208,13 @@ class DeliverySchedule:
     @property
     def rounding_overshoot(self) -> Fraction:
         """Symbols sent beyond the exact rational increments, from rounding up."""
-        by_j = {it.j: it.incr for it in self.iterations}
+        msgs = self.messages
+        main = msgs.kind == MAIN
         total = Fraction(0)
-        for m in self.messages:
-            if m.kind == "main":
-                total += max(Fraction(0), Fraction(m.length) - by_j[m.j])
+        for it in self.iterations:
+            lens = msgs.length[main & (msgs.j == it.j)]
+            over = lens[lens > int(it.incr)]  # an integer exceeds incr iff it exceeds its floor
+            total += int(over.sum()) - over.size * it.incr
         return total
 
     def to_json(self) -> str:
@@ -278,67 +288,96 @@ def deliver(params: SystemParams, cache: CacheContents, d: RequestVector,
     plan = plan_schedule(params, d, ExpectedSizes(params))
     partitions = {nf: partition_subfiles(cache, range(k), nf, params) for nf in set(d0)}
 
-    messages: list[BroadcastMessage] = []
+    pieces: list[Broadcast] = []
     for it in plan.iterations:
         it.cap = _ceil(it.incr)
         it.n_messages = 0  # messages actually sent, not leader subsets planned
         if it.cap == 0:
             continue
-        for smask in iter_subset_masks(k, it.j):
-            is_main = bool(smask & u_mask)
-            if not is_main and (reconstruct or it.j < 2):
-                continue
-            msg = _build_message(smask, it.j, it.cap, d0, partitions, coded_files,
-                                 kind="main" if is_main else "fallback")
-            if msg is not None:
-                messages.append(msg)
-                it.n_messages += int(is_main)
-                it.symbols += msg.length
+        subsets = subset_masks(k, it.j)
+        is_main = (subsets & u_mask) != 0
+        if reconstruct or it.j < 2:
+            subsets, is_main = subsets[is_main], is_main[is_main]
+        piece = _multicast(subsets, np.where(is_main, MAIN, FALLBACK).astype(np.int8), it.j,
+                           it.cap, k, d0, partitions, coded_files)
+        it.n_messages = int(np.count_nonzero(piece.kind == MAIN))
+        it.symbols = int(piece.length.sum())
+        pieces.append(piece)
+    messages = Broadcast.concat(pieces)
 
     # every receiver rebuilds the same skipped messages, so build them once;
     # without reconstruction those subsets were broadcast as fallbacks
-    virtuals, unsolved = synthesize_skipped(k, u_mask, d0, messages) if reconstruct else ([], [])
+    virtuals, unsolved = (synthesize_skipped(k, u_mask, d0, messages) if reconstruct
+                          else (Broadcast.empty(), []))
 
     # each receiver's pass; dedicated repair symbols for any user left short by truncation
     index = BroadcastIndex.build(messages + virtuals, params.coded_len)
-    topups: list[BroadcastMessage] = []
+    topups: list[tuple[int, int, np.ndarray, np.ndarray]] = []
     known_points: list[tuple[np.ndarray, np.ndarray]] = []
     for user in range(k):
         file0 = d0[user]
         view = {nf: (cache.indices(user, nf), coded_files[nf][cache.indices(user, nf)])
                 for nf in range(params.n_files)}
         know = seed_from_cache(view, params.n_files, params.coded_len)
-        apply_direct(know, topups)
+        for _, nf, idx, vals in topups:
+            know.add(nf, idx, vals)
         strip_fixpoint(know, index)
         deficit = params.f - know.count(file0)
         if deficit > 0:
             missing = np.flatnonzero(~know.mask(file0))[:deficit]
-            topups.append(direct_message(user, file0, missing, coded_files[file0][missing]))
-            know.add(file0, missing, topups[-1].payload)
+            topups.append((user, file0, missing, coded_files[file0][missing]))
+            know.add(file0, missing, topups[-1][3])
         known_points.append(know.known_points(file0))
 
     return DeliverySchedule(params=params, demand=d, leaders_mask=u_mask, s=plan.s,
                             iterations=plan.iterations, messages=messages,
-                            virtuals=virtuals, topups=topups, reconstruct=reconstruct,
-                            unsolved_skips=unsolved, known_points=known_points)
+                            virtuals=virtuals, topups=direct_messages(topups),
+                            reconstruct=reconstruct, unsolved_skips=unsolved,
+                            known_points=known_points)
 
 
-def _build_message(smask: int, j: int, cap: int, d0, partitions, coded_files,
-                   kind: str) -> BroadcastMessage | None:
-    users = mask_users(smask)
-    blocks = [(u, d0[u], smask & ~(1 << u), partitions[d0[u]].block(smask & ~(1 << u)))
-              for u in users]
-    natural = max(b.size for _, _, _, b in blocks)
-    length = min(natural, cap)
-    if length == 0:
-        return None
-    payload = np.zeros(length, dtype=np.int64)
-    comps = []
-    for u, nf, amask, blk in blocks:
-        covered = blk[: min(length, blk.size)]
-        if covered.size:
-            payload[: covered.size] ^= coded_files[nf][covered]
-        comps.append(MessageComponent(user=u, file=nf, block_mask=amask,
-                                      indices=covered, full_len=blk.size))
-    return BroadcastMessage(j=j, subset_mask=smask, length=length, payload=payload,
-                            components=tuple(comps), kind=kind)
+def _multicast(subsets: np.ndarray, kind: np.ndarray, j: int, cap: int, k: int, d0,
+               partitions: dict[int, SubfilePartition],
+               coded_files: dict[int, np.ndarray]) -> Broadcast:
+    """The messages of the size-j `subsets`, capped at `cap` symbols.
+
+    Row i XORs, for each member u in ascending order, the prefix of the block
+    of u's file cached by exactly the other members; a message is as long as
+    its longest block, up to the cap, and empty ones are dropped.  Within one
+    column every symbol lands on its own payload position, so the XOR runs
+    column by column.
+    """
+    users = mask_members(subsets, k, j)
+    files = np.asarray(d0, dtype=np.int64)[users]
+    blocks = subsets[:, None] & ~(np.int64(1) << users)
+    start = np.zeros(users.shape, dtype=np.int64)
+    full = np.zeros(users.shape, dtype=np.int64)
+    for nf, part in partitions.items():
+        at = files == nf
+        start[at], full[at] = part.spans(blocks[at])
+    length = np.minimum(full.max(axis=1), cap)
+    sent = length > 0
+    subsets, kind, length = subsets[sent], kind[sent], length[sent]
+    users, files, blocks, start, full = (a[sent] for a in (users, files, blocks, start, full))
+    covered = np.minimum(full, length[:, None])
+
+    # covered indices and their symbols, component by component
+    comp_off = (np.cumsum(covered) - covered.ravel()).reshape(covered.shape)
+    cat = np.empty(int(covered.sum()), dtype=np.int64)
+    symbols = np.empty_like(cat)
+    for nf, part in partitions.items():
+        at = files == nf
+        dst = _ranges(comp_off[at], covered[at])
+        indices = part.order[_ranges(start[at], covered[at])]
+        cat[dst] = indices
+        symbols[dst] = coded_files[nf][indices]
+    pay_start = np.cumsum(length) - length
+    payload = np.zeros(int(length.sum()), dtype=np.int64)
+    for x in range(j):
+        payload[_ranges(pay_start, covered[:, x])] ^= symbols[_ranges(comp_off[:, x],
+                                                                      covered[:, x])]
+    n = subsets.size
+    return Broadcast(j=np.full(n, j, dtype=np.int64), subset=subsets, length=length, kind=kind,
+                     size=np.full(n, j, dtype=np.int64), payload=payload, user=users.ravel(),
+                     file=files.ravel(), block=blocks.ravel(), covered=covered.ravel(),
+                     full=full.ravel(), cat=cat)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
 from math import ceil, lcm
 
 import numpy as np
@@ -211,9 +211,36 @@ def mask_users(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def subset_masks(k: int, size: int) -> np.ndarray:
+    """Masks of all size-element subsets of users 0..k-1, ascending, as a read-only
+    int64 array built on first use and shared afterwards (k <= 62).
+
+    The subsets whose highest user is t are those of size-1 users below t plus
+    t; taking t in ascending order lists every mask in ascending order.
+    """
+    if not 0 <= k <= 62:
+        raise ValueError(f"subset masks support 0 <= k <= 62 users, got {k}")
+    if size == 0:
+        masks = np.zeros(1, dtype=np.int64)
+    elif not 0 < size <= k:
+        masks = np.zeros(0, dtype=np.int64)
+    else:
+        masks = np.concatenate([subset_masks(t, size - 1) | np.int64(1 << t)
+                                for t in range(size - 1, k)])
+    masks.flags.writeable = False
+    return masks
+
+
 def iter_subset_masks(k: int, size: int):
     """Masks of all size-element subsets of users 0..k-1, ascending as integers."""
-    yield from sorted(subset_mask(c) for c in combinations(range(k), size))
+    yield from subset_masks(k, size).tolist()
+
+
+def mask_members(masks: np.ndarray, k: int, size: int) -> np.ndarray:
+    """Users of each size-element subset of users 0..k-1, ascending along each row."""
+    bits = (masks[:, None] >> np.arange(k, dtype=np.int64)) & 1
+    return np.nonzero(bits)[1].reshape(-1, size)
 
 
 # ---------------------------------------------------------------------------
@@ -285,20 +312,41 @@ class CacheContents:
 
 @dataclass
 class SubfilePartition:
-    """Partition of one coded file's indices by the exact subset of users caching them."""
+    """Partition of one coded file's indices by the exact subset of users caching them.
+
+    The block cached by exactly the users of masks[q] is
+    order[starts[q]:starts[q+1]]; masks holds the nonempty blocks' masks,
+    ascending.
+    """
 
     file: int
     coded_len: int
-    blocks: dict[int, np.ndarray]
+    order: np.ndarray   # coded indices grouped by block, ascending within each block
+    masks: np.ndarray   # int64
+    starts: np.ndarray  # len(masks) + 1 offsets into order
 
-    _EMPTY = np.zeros(0, dtype=np.int64)
+    def spans(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(start in order, length) of each mask's block; length 0 for an empty block."""
+        q = np.searchsorted(self.masks, masks)
+        found = q < self.masks.size
+        found[found] = self.masks[q[found]] == masks[found]
+        start = np.where(found, self.starts[q], 0)
+        return start, np.where(found, self.starts[np.minimum(q + 1, self.masks.size)] - start, 0)
 
     def block(self, mask: int) -> np.ndarray:
-        return self.blocks.get(mask, self._EMPTY)
+        start, length = (int(x[0]) for x in self.spans(np.array([mask], dtype=np.int64)))
+        return self.order[start: start + length]
+
+    @property
+    def blocks(self) -> dict[int, np.ndarray]:
+        """Nonempty blocks by mask, as views into order."""
+        bounds = self.starts.tolist()
+        return {mask: self.order[a:b]
+                for mask, a, b in zip(self.masks.tolist(), bounds, bounds[1:])}
 
     def check(self) -> None:
-        total = sum(b.size for b in self.blocks.values())
-        if total != self.coded_len:
+        total = int(self.starts[-1])
+        if total != self.coded_len or self.order.size != total:
             raise AssertionError(f"partition covers {total} of {self.coded_len} indices")
         seen = np.zeros(self.coded_len, dtype=bool)
         for b in self.blocks.values():

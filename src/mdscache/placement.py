@@ -84,23 +84,24 @@ def prefetch(params: SystemParams, seed: int) -> CacheContents:
 
 def partition_subfiles(cache: CacheContents, active, file: int,
                        params: SystemParams) -> SubfilePartition:
-    """Split one coded file's indices by the exact active-user subset caching them."""
+    """Split one coded file's indices by the exact active-user subset caching them.
+
+    A stable sort of the indices by subset key leaves each block's indices
+    ascending.
+    """
     active = list(active)
     if len(active) > 63:
         raise ValueError("subset bitmask keys support at most 63 active users")
     n = params.coded_len
-    keys = np.zeros(n, dtype=np.uint64)
+    keys = np.zeros(n, dtype=np.int64)
     for bit, user in enumerate(active):
-        keys[cache.indices(user, file)] |= np.uint64(1 << bit)
+        keys[cache.indices(user, file)] |= np.int64(1 << bit)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-    blocks: dict[int, np.ndarray] = {}
-    start = 0
-    for stop in list(boundaries) + [n]:
-        blocks[int(sorted_keys[start])] = np.sort(order[start:stop]).astype(np.int64)
-        start = stop
-    return SubfilePartition(file=file, coded_len=n, blocks=blocks)
+    firsts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+    order.flags.writeable = False
+    return SubfilePartition(file=file, coded_len=n, order=order, masks=sorted_keys[firsts],
+                            starts=np.append(firsts, n))
 
 
 def expected_subfile_size(params: SystemParams, subset_size: int, k: int | None = None) -> Fraction:

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from broadcast_reference import record_of
 from mdscache import decoding
 from mdscache.decoding import (BroadcastIndex, BroadcastMessage, MessageComponent,
                                UserKnowledge, apply_direct, decode_user,
-                               direct_message, seed_from_cache, strip_fixpoint,
+                               direct_messages, seed_from_cache, strip_fixpoint,
                                synthesize_skipped)
 from mdscache.delivery import deliver
 from mdscache.mds import CodecConfig, mds_encode
@@ -98,7 +99,7 @@ def test_strip_learns_single_unknown_and_chains():
     cache, coded, schedule, _ = setup(p, d, 51)
     for user in range(p.k):
         know = seed_from_cache(view_of(cache, coded, user, p.n_files), p.n_files, p.coded_len)
-        strip_fixpoint(know, BroadcastIndex.build([*schedule.messages, *schedule.topups],
+        strip_fixpoint(know, BroadcastIndex.build(schedule.messages + schedule.topups,
                                                   p.coded_len))
         # every component involving this user's demand was recoverable
         file0 = d.zero_based[user]
@@ -113,7 +114,7 @@ def test_strip_leaves_double_unknown_messages_alone():
         components=(MessageComponent(0, 0, 0b10, a_idx, 2),
                     MessageComponent(1, 1, 0b01, b_idx, 2)),
         kind="main")
-    index = BroadcastIndex.build([msg], 8)
+    index = BroadcastIndex.build(record_of([msg]), 8)
     know = UserKnowledge(2, 8)
     strip_fixpoint(know, index)
     assert know.count(0) == 0 and know.count(1) == 0
@@ -126,10 +127,10 @@ def test_strip_leaves_double_unknown_messages_alone():
 
 def test_direct_message_strips_immediately():
     know = UserKnowledge(2, 16)
-    msg = direct_message(2, 1, np.array([4, 9]), np.array([44, 99]))
-    assert msg.kind == "topup"
-    assert msg.length == 2
-    strip_fixpoint(know, BroadcastIndex.build([msg], 16))
+    msg = direct_messages([(2, 1, np.array([4, 9]), np.array([44, 99]))])
+    assert msg[0].kind == "topup"
+    assert msg[0].length == 2
+    strip_fixpoint(know, BroadcastIndex.build(msg, 16))
     assert know.count(1) == 2
     assert know.values(1, np.array([4, 9])).tolist() == [44, 99]
 
@@ -147,9 +148,10 @@ def test_index_rejects_blocks_that_share_a_coded_index():
                          kind="main"),
     ]
     with pytest.raises(ValueError, match=r"coded index 3 of file 1 .* users \{0\} .* users \{1\}"):
-        BroadcastIndex.build(pair, 8)
+        BroadcastIndex.build(record_of(pair), 8)
     # one-component messages, such as top-ups, may cover any indices
-    BroadcastIndex.build([pair[0], direct_message(0, 0, np.array([3, 5]), np.array([1, 2]))], 8)
+    BroadcastIndex.build(record_of(pair[:1])
+                         + direct_messages([(0, 0, np.array([3, 5]), np.array([1, 2]))]), 8)
 
 
 def test_index_rejects_component_longer_than_its_message():
@@ -158,7 +160,7 @@ def test_index_rejects_component_longer_than_its_message():
     msg = BroadcastMessage(j=2, subset_mask=0b11, length=2,
                            payload=np.zeros(2, dtype=np.int64), components=comps)
     with pytest.raises(ValueError, match="more symbols than the message carries"):
-        BroadcastIndex.build([msg], 4)
+        BroadcastIndex.build(record_of([msg]), 4)
 
 
 def test_synthesized_message_equals_hand_xor():
@@ -262,7 +264,7 @@ def test_decode_fails_without_topups_and_names_the_gap():
     if schedule.topup_symbols == 0:
         pytest.skip("no rounding deficit at this seed")
     stripped = copy.copy(schedule)
-    stripped.topups = []
+    stripped.topups = schedule.topups.take([])
     failed = 0
     for user in range(p.k):
         res = decode_user(p, user, view_of(cache, coded, user, p.n_files), stripped)
@@ -329,13 +331,14 @@ def test_event_driven_pass_equals_naive_strip(point, seed):
     p, d = point
     for reconstruct in (True, False):
         cache, coded, schedule, _ = setup(p, d, seed, reconstruct=reconstruct)
-        broadcast = [*schedule.messages, *schedule.virtuals]
+        broadcast = schedule.messages + schedule.virtuals
         index = BroadcastIndex.build(broadcast, p.coded_len)
+        messages = list(broadcast)
         for user in range(p.k):
             view = view_of(cache, coded, user, p.n_files)
-            earlier = [m for m in schedule.topups if m.components[0].user < user]
+            earlier = schedule.topups.take(np.flatnonzero(schedule.topups.user < user))
             slow = seed_from_cache(view, p.n_files, p.coded_len)
-            naive_strip(slow, [*broadcast, *earlier])
+            naive_strip(slow, [*messages, *earlier])
             for slice_len in (decoding._SLICE_LEN, 1, p.coded_len + 1):
                 fast = seed_from_cache(view, p.n_files, p.coded_len)
                 apply_direct(fast, earlier)

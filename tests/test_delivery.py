@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from broadcast_reference import assert_same_messages, reference_messages, reference_synthesize
 from mdscache.analysis import rate_mds_dec, rate_uncoded_dec, stop_index
 from mdscache.delivery import (DeliverySchedule, ExpectedSizes, MeasuredSizes,
                                deliver, leaders, plan_schedule)
@@ -195,7 +196,7 @@ def test_deliver_fallback_broadcasts_leaderless_subsets():
     assert all(not mask & 0b0011 for mask in fallback_masks)
     assert schedule.fallback_symbols > 0
     assert schedule.unsolved_skips == []
-    assert schedule.virtuals == []  # the fallbacks already carry the skipped subsets
+    assert len(schedule.virtuals) == 0  # the fallbacks already carry the skipped subsets
 
 
 def test_deliver_sentinel_schedules_nothing():
@@ -248,3 +249,36 @@ def test_plan_total_equals_closed_form_at_random_demands(point):
     p, d = point
     plan = plan_schedule(p, d, ExpectedSizes(p))
     assert plan.total == rate_mds_dec(p.n_files, p.m, p.k, p.r, n_distinct=d.n_distinct) * p.f
+
+
+@st.composite
+def broadcast_points(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 10))
+    m = draw(st.fractions(0, n, max_denominator=2))
+    r = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]))
+    f = suggest_feasible_f(n, m, r, draw(st.integers(2, 300)))
+    demand = RequestVector(tuple(draw(st.lists(st.integers(1, n), min_size=k, max_size=k))))
+    return make(n=n, kp=k, k=k, m=m, r=r, f=f), demand
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(point=broadcast_points(), seed=st.integers(0, 2**32 - 1))
+def test_columnar_broadcast_equals_object_reference(point, seed):
+    # the record deliver builds iteration by iteration, and the skipped messages
+    # rebuilt from it, against the message-at-a-time code they replaced
+    p, d = point
+    for reconstruct in (True, False):
+        cache, coded, schedule = deliver_setup(p, d, seed, reconstruct=reconstruct)
+        want = reference_messages(p, cache, d, coded, reconstruct=reconstruct)
+        assert_same_messages(schedule.messages, want)
+        main = [m for m in want if m.kind == "main"]
+        incr = {it.j: it.incr for it in schedule.iterations}
+        assert schedule.main_symbols == sum(m.length for m in main)
+        assert schedule.fallback_symbols == sum(m.length for m in want if m.kind == "fallback")
+        assert schedule.rounding_overshoot == sum(
+            (max(Fraction(0), m.length - incr[m.j]) for m in main), Fraction(0))
+        virtuals, unsolved = (reference_synthesize(p.k, schedule.leaders_mask, d.zero_based, want)
+                              if reconstruct else ([], []))
+        assert_same_messages(schedule.virtuals, virtuals)
+        assert schedule.unsolved_skips == unsolved

@@ -1,5 +1,6 @@
 """Parameter validation, request vectors, subset masks, serialization."""
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from mdscache.params import (CacheContents, ParamError, RequestVector,
                              SubfilePartition, SystemParams, as_fraction,
                              fraction_str, iter_subset_masks, mask_users,
-                             require_valid, subset_mask, suggest_feasible_f,
-                             validate)
+                             require_valid, subset_mask, subset_masks,
+                             suggest_feasible_f, validate)
 
 
 def make(n=2, kp=3, k=3, m=1, r=2, f=64) -> SystemParams:
@@ -128,6 +129,19 @@ def test_subset_masks():
     assert list(iter_subset_masks(3, 0)) == [0]
 
 
+def test_subset_masks_at_k16():
+    # the largest k delivery admits: every mask once, each size ascending
+    tables = [subset_masks(16, j) for j in range(17)]
+    assert sum(t.size for t in tables) == 1 << 16
+    assert np.array_equal(np.sort(np.concatenate(tables)), np.arange(1 << 16))
+    for j, table in enumerate(tables):
+        assert table.size == comb(16, j)
+        assert np.all(np.diff(table) > 0)
+        assert all(m.bit_count() == j for m in table.tolist())
+    assert list(iter_subset_masks(16, 3)) == tables[3].tolist()
+    assert not tables[3].flags.writeable
+
+
 def test_cache_contents_equality_and_json():
     idx = {(0, 0): np.array([1, 5, 9], dtype=np.int64),
            (0, 1): np.array([0, 2], dtype=np.int64)}
@@ -147,20 +161,29 @@ def test_cache_mask_matches_indices():
     assert np.array_equal(np.flatnonzero(mask), [3, 7])
 
 
+def partition_of(coded_len, blocks) -> SubfilePartition:
+    masks = sorted(blocks)
+    sizes = [len(blocks[m]) for m in masks]
+    return SubfilePartition(file=0, coded_len=coded_len,
+                            order=np.array([i for m in masks for i in blocks[m]], dtype=np.int64),
+                            masks=np.array(masks, dtype=np.int64),
+                            starts=np.cumsum([0] + sizes))
+
+
 def test_partition_check_catches_overlap_and_gap():
-    good = SubfilePartition(file=0, coded_len=4,
-                            blocks={0: np.array([0, 1]), 1: np.array([2, 3])})
+    good = partition_of(4, {0: [0, 1], 1: [2, 3]})
     good.check()
-    overlap = SubfilePartition(file=0, coded_len=4,
-                               blocks={0: np.array([0, 1]), 1: np.array([1, 2, 3])})
+    assert good.block(1).tolist() == [2, 3]
+    overlap = partition_of(4, {0: [0, 1], 1: [1, 2, 3]})
     with pytest.raises(AssertionError):
         overlap.check()
-    gap = SubfilePartition(file=0, coded_len=4,
-                           blocks={0: np.array([0, 1]), 1: np.array([3])})
+    gap = partition_of(4, {0: [0, 1], 1: [3]})
     with pytest.raises(AssertionError):
         gap.check()
 
 
 def test_partition_block_default_empty():
-    part = SubfilePartition(file=0, coded_len=4, blocks={})
+    part = partition_of(4, {})
     assert len(part.block(0b11)) == 0
+    part = partition_of(4, {0b01: [0, 2], 0b10: [1, 3]})
+    assert len(part.block(0b11)) == 0 and len(part.block(0)) == 0

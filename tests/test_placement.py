@@ -131,6 +131,27 @@ def test_partition_disjoint_cover_random_placements():
         assert total == p.coded_len
 
 
+@pytest.mark.parametrize("active", [range(5), [1, 3, 4]])
+def test_partition_blocks_ascending_and_exact(active):
+    # the stable sort by subset key is what keeps each block ascending
+    p = make(n=2, kp=5, k=5, m=1, r=2, f=48)
+    active = list(active)
+    for t in range(20):
+        cache = prefetch(p, derive_seed(19, t))
+        for nf in range(p.n_files):
+            part = partition_subfiles(cache, active, nf, p)
+            keys = np.zeros(p.coded_len, dtype=np.int64)
+            for bit, user in enumerate(active):
+                keys[cache.indices(user, nf)] |= 1 << bit
+            nonempty = 0
+            for mask in range(1 << len(active)):
+                block = part.block(mask)
+                assert np.all(np.diff(block) > 0)
+                assert np.array_equal(block, np.flatnonzero(keys == mask))
+                nonempty += block.size > 0
+            assert len(part.blocks) == nonempty
+
+
 def test_partition_blocks_match_masks():
     p = make(n=2, kp=3, k=3, m=1, r=2, f=32)
     cache = prefetch(p, 21)
