@@ -7,8 +7,8 @@ predicted traffic load.
 from .analysis import (accumulated_share, best_r, comb0, rate_mds_dec,
                        rate_uncoded_cen, rate_uncoded_dec, stop_index)
 from .decoding import DecodeResult, decode_user, synthesize_skipped
-from .delivery import (DeliverySchedule, ExpectedSizes, MeasuredSizes,
-                       SchedulePlan, deliver, leaders, plan_schedule)
+from .delivery import (DeliverySchedule, SchedulePlan, deliver, leaders,
+                       plan_schedule)
 from .gf import GF2, field
 from .mds import (CodecConfig, InsufficientSymbolsError, generator_matrix,
                   mds_decode, mds_encode)
@@ -35,8 +35,7 @@ __all__ = [
     "sample_without_replacement", "derive_seed", "splitmix64",
     "accumulated_share", "stop_index", "rate_mds_dec", "rate_uncoded_dec",
     "rate_uncoded_cen", "best_r", "comb0",
-    "DeliverySchedule", "SchedulePlan", "ExpectedSizes", "MeasuredSizes",
-    "deliver", "plan_schedule", "leaders",
+    "DeliverySchedule", "SchedulePlan", "deliver", "plan_schedule", "leaders",
     "DecodeResult", "decode_user", "synthesize_skipped",
     "TrialResult", "TrialStats", "run_one_trial", "run_trials",
     "compare_to_theory", "choose_codec", "pseudo_symbols",

@@ -279,11 +279,10 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         assert np.array_equal(got, data)
 
     def plan_matches_closed_form() -> None:
-        from .delivery import ExpectedSizes, plan_schedule
+        from .delivery import plan_schedule
         params = SystemParams(n_files=2, k_prime=3, k=3, m=Fraction(1),
                               r=Fraction(2), f=64)
-        plan = plan_schedule(params, RequestVector.worst_case(params),
-                             ExpectedSizes(params))
+        plan = plan_schedule(params, RequestVector.worst_case(params))
         want = rate_mds_dec(2, 1, 3, 2) * 64
         assert plan.total == want, f"{plan.total} != {want}"
 

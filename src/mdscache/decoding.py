@@ -438,14 +438,28 @@ def synthesize_skipped(k: int, leaders_mask: int, demand0,
                        messages: Broadcast) -> tuple[Broadcast, list[tuple[int, int]]]:
     """Rebuild each skipped subset's message as an XOR of transmitted ones.
 
-    Works per subset size over GF(2): each transmitted message is a vector over
-    the blocks it XORs; Gaussian elimination finds a combination matching the
-    skipped subset's blocks.  Blocks are numbered in order of first appearance,
-    messages first, then each skipped subset's blocks in user order.  Returns
-    (a record of the virtual messages, unsolved (j, mask)).
+    Lemma 1 of Yu, Maddah-Ali & Avestimehr, "The Exact Rate-Memory Tradeoff
+    for Caching with Uncoded Prefetching" (arXiv 1609.07817): for a subset A
+    without a leader, the leader set U and B = A | U, the message Y_A is the
+    XOR of Y_{B-V} over every V != U that holds one user of B per requested
+    file.  Each such constituent B-V swaps some members of A for their file's
+    leader, at most one member per file, so it holds a leader and was sent
+    unless it was dropped as empty.  The leader messages are linearly
+    independent over the blocks, so no other combination of sent messages
+    gives Y_A: a skip is unsolved exactly when a constituent was dropped.
+
+    All messages of one size cover the same prefix of a block, so the
+    identity holds symbol by symbol up to the shortest constituent, and the
+    rebuilt message is that long.  Member u's component is the leader's
+    component in the constituent that swaps u alone; components are ordered
+    by (file, block).  Returns (a record of the virtual messages, unsolved
+    (j, mask)).
     """
     b = messages
     d0 = np.asarray(demand0, dtype=np.int64)
+    leader = np.zeros(int(d0.max()) + 1, dtype=np.int64)
+    lead_users = np.array(mask_users(leaders_mask), dtype=np.int64)
+    leader[d0[lead_users]] = lead_users
     sent = ((b.kind == MAIN) | (b.kind == FALLBACK)) & (b.length > 0)
     virtuals: list[Broadcast] = []
     unsolved: list[tuple[int, int]] = []
@@ -457,103 +471,65 @@ def synthesize_skipped(k: int, leaders_mask: int, demand0,
         skipped = subsets[(subsets & leaders_mask) == 0]
         if not skipped.size:
             continue
-        rows = np.flatnonzero(sent & (b.j == j))
-        comps = _ranges(b.msg_start[rows], b.size[rows]).reshape(rows.size, j)
-        users = mask_members(skipped, k, j)
-        targets = d0[users] << 32 | (skipped[:, None] & ~(1 << users))
-        keys = np.concatenate([(b.file[comps] << 32 | b.block[comps]).ravel(), targets.ravel()])
-        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        rank = np.empty(uniq.size, dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(uniq.size)
-        ids = rank[inverse].reshape(-1, j)
-        first = np.sort(first)  # block number -> its first position in keys
-
-        basis: dict[int, tuple[int, int]] = {}  # msb -> (vector, combo over messages)
-        for i, row in enumerate(ids[: rows.size].tolist()):
-            v, combo = _bitset(row), 1 << i
-            while v:
-                h = v.bit_length() - 1
-                if h in basis:
-                    bv, bc = basis[h]
-                    v ^= bv
-                    combo ^= bc
-                else:
-                    basis[h] = (v, combo)
-                    break
-        pair_t, pair_r = [], []
-        for t, row in enumerate(ids[rows.size:].tolist()):
-            v, combo = _bitset(row), 0
-            while v:
-                h = v.bit_length() - 1
-                if h not in basis:
-                    combo = 0
-                    break
-                bv, bc = basis[h]
-                v ^= bv
-                combo ^= bc
-            while combo:
-                low = combo & -combo
-                pair_t.append(t)
-                pair_r.append(low.bit_length() - 1)
-                combo ^= low
-        built, solved = _combine(b, rows, np.array(pair_r, dtype=np.intp),
-                                 np.array(pair_t, dtype=np.intp), skipped, users, targets,
-                                 comps.ravel(), first[ids[rows.size:]])
+        built, solved = _skipped_of_size(b, np.flatnonzero(sent & (b.j == j)), skipped,
+                                         mask_members(skipped, k, j), d0, leader)
         virtuals.append(built)
         unsolved += [(j, s) for s in skipped[~solved].tolist()]
     return Broadcast.concat(virtuals), unsolved
 
 
-def _bitset(ids) -> int:
-    v = 0
-    for i in ids:
-        v ^= 1 << i
-    return v
+def _skipped_of_size(b: Broadcast, rows: np.ndarray, skipped: np.ndarray, users: np.ndarray,
+                     d0: np.ndarray, leader: np.ndarray) -> tuple[Broadcast, np.ndarray]:
+    """The messages of the size-j `skipped` subsets, whose members are `users`,
+    from the sent size-j messages b[rows] (ascending subset masks).
 
-
-def _combine(b: Broadcast, rows: np.ndarray, pair_r: np.ndarray, pair_t: np.ndarray,
-             skipped: np.ndarray, users: np.ndarray, targets: np.ndarray,
-             comps: np.ndarray, first: np.ndarray) -> tuple[Broadcast, np.ndarray]:
-    """XOR the messages b[rows[pair_r]] for each skipped subset skipped[pair_t].
-
-    Pairs come grouped by subset, messages ascending within a subset.
-    `users` and `targets` hold each skipped subset's users and their
-    (file << 32 | block) keys, and `first` the position in `comps`, the rows'
-    components, where each of those blocks first occurs, if it does.  The blocks the combination leaves an odd
-    number of times are exactly the subset's own, since the elimination
-    matched its vector.  A subset is solved when its combination is nonempty
-    and its shortest message is too; each block then sends a prefix as long
-    as that message.  Every row of one size covers the same prefix of a
-    block, the block capped at the iteration's cap, so any occurrence serves.
-    Returns (record of the solved subsets' messages, solved flag per subset).
+    Constituent t = 1 .. P-1 of a subset swaps, for each file, the member whose
+    rank within the file is that file's digit of t minus one, where the digits
+    are t in the mixed radix of (1 + members per file) and a zero digit swaps
+    none; P is the product of the radices.  Returns (record of the solved
+    subsets' messages, solved flag per subset).
     """
     n_t, j = users.shape
-    length = np.zeros(n_t, dtype=np.int64)
-    group = np.flatnonzero(np.diff(pair_t, prepend=-1))
-    msg = rows[pair_r]
-    if pair_t.size:
-        length[pair_t[group]] = np.minimum.reduceat(b.length[msg], group)
+    files = d0[users]
+    lead = leader[files]
+    swap = (np.int64(1) << lead) - (np.int64(1) << users)  # mask change when a member swaps
+    onehot = files[:, :, None] == np.arange(leader.size)
+    rank = np.cumsum(onehot, axis=1)[onehot].reshape(n_t, j)  # 1-based, within the file
+    per_file = onehot.sum(axis=1) + 1
+    stride = np.take_along_axis(np.cumprod(per_file, axis=1) // per_file, files, 1)
+    radix = np.take_along_axis(per_file, files, 1)
+    n_con = np.prod(radix, axis=1, where=rank == 1) - 1
+    con_start = np.cumsum(n_con) - n_con
+    owner = np.repeat(np.arange(n_t), n_con)
+    t = _ranges(np.ones(n_t, dtype=np.int64), n_con)
+    swapped = t[:, None] // stride[owner] % radix[owner] == rank[owner]
+    con_mask = skipped[owner] + np.where(swapped, swap[owner], 0).sum(axis=1)
+
+    sent_masks = b.subset[rows]
+    at = np.minimum(np.searchsorted(sent_masks, con_mask), rows.size - 1)
+    msg = rows[at]
+    con_len = np.where(sent_masks[at] == con_mask, b.length[msg], 0)
+    length = np.minimum.reduceat(con_len, con_start)  # 0 when a constituent is missing
+    pay_start = np.cumsum(length) - length
+    payload = np.zeros(int(length.sum()), dtype=np.int64)
+    lens = length[owner]
+    np.bitwise_xor.at(payload, _ranges(pay_start[owner], lens),
+                      b.payload[_ranges(b.pay_start[msg], lens)])
+
     out = np.flatnonzero(length > 0)
     lens = length[out]
-    by_key = np.argsort(targets[out], axis=1)
-    src = comps[np.take_along_axis(first[out], by_key, 1)].ravel()
+    users, files, lead = users[out], files[out], lead[out]
+    alone = rows[np.searchsorted(sent_masks, skipped[out, None] + swap[out])]
+    # the leader's column in that constituent counts the members of A below
+    # it; u is not one of them, since a leader is its file's lowest user
+    below = (users[:, None, :] < lead[:, :, None]).sum(axis=2)
+    by_key = np.argsort(files << 32 | (skipped[out, None] & ~(np.int64(1) << users)), axis=1)
+    src = np.take_along_axis(b.msg_start[alone] + below, by_key, 1).ravel()
     cov = np.minimum(b.covered[src], np.repeat(lens, j))
-
-    payload = np.zeros(int(lens.sum()), dtype=np.int64)
-    pay_start = np.cumsum(lens) - lens
-    at = np.full(n_t, -1, dtype=np.intp)
-    at[out] = np.arange(out.size)
-    pair_out = at[pair_t]
-    level = np.arange(pair_t.size) - np.repeat(group, np.diff(np.append(group, pair_t.size)))
-    for lv in range(int(level.max()) + 1 if level.size else 0):
-        sel = (level == lv) & (pair_out >= 0)
-        dst, r = pair_out[sel], msg[sel]
-        payload[_ranges(pay_start[dst], lens[dst])] ^= b.payload[_ranges(b.pay_start[r],
-                                                                         lens[dst])]
     record = Broadcast(
         j=np.full(out.size, j, dtype=np.int64), subset=skipped[out], length=lens,
         kind=np.full(out.size, VIRTUAL, dtype=np.int8), size=np.full(out.size, j, dtype=np.int64),
-        payload=payload, user=np.take_along_axis(users[out], by_key, 1).ravel(),
+        payload=payload, user=np.take_along_axis(users, by_key, 1).ravel(),
         file=b.file[src], block=b.block[src], covered=cov, full=b.full[src],
         cat=b.cat[_ranges(b.comp_off[src], cov)])
     return record, length > 0

@@ -6,19 +6,19 @@ an increment that never overshoots full caches; subsets without a leader are
 skipped because receivers can synthesize them.  The loop stops at the first
 size whose full blocks would fill every cache.
 
-``plan_schedule`` runs the loop on given block sizes and keeps exact rational
-lengths; it is the only copy of the loop.  ``deliver`` executes the plan on
-expected block sizes and emits real payloads: message lengths are capped by
-each planned increment rounded up to whole symbols.  Each iteration's
-messages are built together as arrays, one row per subset and one column per
-member, and kept in the columnar ``Broadcast`` record (see ``decoding``):
-messages, skipped-subset messages and top-ups are three such records, and a
-trial builds no per-message object.  ``deliver`` rebuilds the skipped
-messages and indexes the broadcast once, since every receiver derives the
-same ones.  The server knows every cache, so it runs each receiver's pass
-over that index, repairs any shortfall from truncation with dedicated top-up
-symbols appended after the multicast phase, and keeps what each user then
-knows of its requested file.
+``plan_schedule`` runs the loop on expected block sizes and keeps exact
+rational lengths; it is the only copy of the loop.  ``deliver`` executes the
+plan and emits real payloads: message lengths are capped by each planned
+increment rounded up to whole symbols.  Each iteration's messages are built
+together as arrays, one row per subset and one column per member, and kept in
+the columnar ``Broadcast`` record (see ``decoding``): messages,
+skipped-subset messages and top-ups are three such records, and a trial
+builds no per-message object.  ``deliver`` rebuilds the skipped messages and
+indexes the broadcast once, since every receiver derives the same ones.  The
+server knows every cache, so it runs each receiver's pass over that index,
+repairs any shortfall from truncation with dedicated top-up symbols appended
+after the multicast phase, and keeps what each user then knows of its
+requested file.
 """
 from __future__ import annotations
 
@@ -67,33 +67,6 @@ def _ceil(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-class ExpectedSizes:
-    """Block sizes equal to their placement expectation; uniform per cardinality."""
-
-    uniform = True
-
-    def __init__(self, params: SystemParams):
-        self._params = params
-
-    def size_for_card(self, t: int) -> Fraction:
-        return expected_subfile_size(self._params, t)
-
-    def block_size(self, file: int, mask: int) -> Fraction:
-        return self.size_for_card(mask.bit_count())
-
-
-class MeasuredSizes:
-    """Actual block sizes of a concrete placement."""
-
-    uniform = False
-
-    def __init__(self, partitions: dict[int, SubfilePartition]):
-        self._partitions = partitions
-
-    def block_size(self, file: int, mask: int) -> int:
-        return self._partitions[file].block(mask).size
-
-
 @dataclass
 class IterationPlan:
     j: int
@@ -129,17 +102,11 @@ class SchedulePlan:
                 for smask in iter_subset_masks(self.k, it.j) if smask & self.leaders_mask]
 
 
-def plan_schedule(params: SystemParams, d: RequestVector, sizes) -> SchedulePlan:
-    """Run the scheduling loop on the given block sizes, keeping exact lengths.
-
-    The per-iteration representative block size is the mean over the distinct
-    (file, size j-1 subset) blocks the iteration consumes; on uniform sizes
-    this is the common value.
-    """
+def plan_schedule(params: SystemParams, d: RequestVector) -> SchedulePlan:
+    """Run the scheduling loop on expected block sizes, keeping exact lengths."""
     require_enumerable(params)
     d.validate_for(params)
     k = params.k
-    d0 = d.zero_based
     u_mask = subset_mask(leaders(d))
     f_total = Fraction(params.f)
     acc = Fraction(params.m * params.f, params.n_files)
@@ -147,18 +114,8 @@ def plan_schedule(params: SystemParams, d: RequestVector, sizes) -> SchedulePlan
     total = Fraction(0)
     if acc >= f_total:
         return SchedulePlan(s=k + 1, iterations=[], total=total, k=k, leaders_mask=u_mask)
-    demanded = sorted(set(d0))
     for j in range(k, 0, -1):
-        if getattr(sizes, "uniform", False):
-            seg = Fraction(sizes.size_for_card(j - 1))
-        else:
-            consumed = [
-                Fraction(sizes.block_size(nf, a_mask))
-                for a_mask in iter_subset_masks(k, j - 1)
-                for nf in demanded
-                if any(d0[u] == nf and not a_mask >> u & 1 for u in range(k))
-            ]
-            seg = sum(consumed, Fraction(0)) / len(consumed)
+        seg = expected_subfile_size(params, j - 1)
         c = comb0(k - 1, j - 1)
         acc_new = acc + seg * c
         incr = min(seg * c, f_total - acc) / c
@@ -275,17 +232,16 @@ def deliver(params: SystemParams, cache: CacheContents, d: RequestVector,
             coded_files: dict[int, np.ndarray], reconstruct: bool = True) -> DeliverySchedule:
     """Emit the broadcast for demand d over a concrete placement.
 
-    Executes ``plan_schedule`` on expected block sizes: each planned iteration
-    caps its messages at the increment rounded up to whole symbols, and never
-    beyond the longest XOR component.  With reconstruct=False, subsets without
-    a leader are transmitted outright instead of being left for receiver-side
-    synthesis.
+    Executes ``plan_schedule``: each planned iteration caps its messages at
+    the increment rounded up to whole symbols, and never beyond the longest
+    XOR component.  With reconstruct=False, subsets without a leader are
+    transmitted outright instead of being left for receiver-side synthesis.
     """
     require_valid(params)
     k = params.k
     d0 = d.zero_based
     u_mask = subset_mask(leaders(d))
-    plan = plan_schedule(params, d, ExpectedSizes(params))
+    plan = plan_schedule(params, d)
     partitions = {nf: partition_subfiles(cache, range(k), nf, params) for nf in set(d0)}
 
     pieces: list[Broadcast] = []

@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import rate_mds_dec
 from .decoding import decode_points, decode_user
-from .delivery import ExpectedSizes, deliver, plan_schedule, require_enumerable
+from .delivery import deliver, plan_schedule, require_enumerable
 from .mds import CodecConfig, mds_encode
 from .params import (ParamError, RequestVector, SystemParams, fraction_str,
                      require_valid)
@@ -44,7 +44,7 @@ def require_exact_fits(params: SystemParams, demand: RequestVector) -> None:
     """Raise ParamError when one exact decode's dense int64 observation matrix,
     (m*f cached + planned delivery symbols) rows by n_files*f columns, would
     exceed EXACT_MATRIX_BYTES.  Computes the size only; allocates nothing."""
-    planned = plan_schedule(params, demand, ExpectedSizes(params)).total
+    planned = plan_schedule(params, demand).total
     rows = params.n_files * params.cached_per_file + math.ceil(planned)
     size = 8 * params.n_files * params.f * rows
     if size > EXACT_MATRIX_BYTES:

@@ -1,17 +1,20 @@
 """Object-based references for the columnar broadcast.
 
 ``reference_messages`` builds deliver's multicast one ``BroadcastMessage`` at a
-time, and ``reference_synthesize`` rebuilds the skipped subsets' messages from
-such objects.  Both are the message-at-a-time code the columnar build
-replaced; tests check that ``deliver`` and ``synthesize_skipped`` reproduce
-them exactly.  ``record_of`` turns hand-built message objects into a record.
+time; it is the message-at-a-time code the columnar build replaced.
+``reference_synthesize`` rebuilds the skipped subsets' messages from such
+objects by GF(2) elimination: it finds, for each skipped subset, the
+combination of sent messages whose blocks match, without assuming the closed
+form that ``synthesize_skipped`` builds.  Tests check that ``deliver`` and
+``synthesize_skipped`` reproduce both exactly.  ``record_of`` turns hand-built
+message objects into a record.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from mdscache.decoding import KINDS, Broadcast, BroadcastMessage, MessageComponent
-from mdscache.delivery import ExpectedSizes, leaders, plan_schedule
+from mdscache.delivery import leaders, plan_schedule
 from mdscache.params import iter_subset_masks, mask_users, subset_mask
 from mdscache.placement import partition_subfiles
 
@@ -43,7 +46,7 @@ def reference_messages(params, cache, d, coded_files, reconstruct=True) -> list[
     k = params.k
     d0 = d.zero_based
     u_mask = subset_mask(leaders(d))
-    plan = plan_schedule(params, d, ExpectedSizes(params))
+    plan = plan_schedule(params, d)
     partitions = {nf: partition_subfiles(cache, range(k), nf, params) for nf in set(d0)}
     messages = []
     for it in plan.iterations:

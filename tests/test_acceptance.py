@@ -13,7 +13,7 @@ import numpy as np
 from mdscache.analysis import (best_r, rate_mds_dec, rate_uncoded_cen,
                                rate_uncoded_dec)
 from mdscache.cli import main
-from mdscache.delivery import ExpectedSizes, plan_schedule
+from mdscache.delivery import plan_schedule
 from mdscache.mds import CodecConfig, mds_decode, mds_encode
 from mdscache.params import (RequestVector, SystemParams, suggest_feasible_f,
                              validate)
@@ -136,7 +136,7 @@ def test_criterion_08_plan_reproduces_closed_form():
         if validate(p):
             continue
         d = RequestVector.worst_case(p)
-        plan = plan_schedule(p, d, ExpectedSizes(p))
+        plan = plan_schedule(p, d)
         assert plan.total == rate_mds_dec(n, m, k, r) * f, (n, m, k, r, f)
         done += 1
     elapsed = time.monotonic() - start

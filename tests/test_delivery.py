@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from broadcast_reference import assert_same_messages, reference_messages, reference_synthesize
 from mdscache.analysis import rate_mds_dec, rate_uncoded_dec, stop_index
-from mdscache.delivery import (DeliverySchedule, ExpectedSizes, MeasuredSizes,
-                               deliver, leaders, plan_schedule)
+from mdscache.delivery import deliver, leaders, plan_schedule
 from mdscache.params import (RequestVector, SystemParams, iter_subset_masks,
                              mask_users, suggest_feasible_f, validate)
-from mdscache.placement import derive_seed, partition_subfiles, prefetch
+from mdscache.placement import derive_seed, prefetch
 from mdscache.simulate import pseudo_symbols
 
 
@@ -37,7 +36,7 @@ def test_leaders():
 def test_plan_small_example_by_hand():
     # n=2 m=1 k=3 r=2 f=64: cached 32, expected sizes 2F*q^t(1-q)^(3-t)
     p = make()
-    plan = plan_schedule(p, RequestVector((1, 2, 1)), ExpectedSizes(p))
+    plan = plan_schedule(p, RequestVector((1, 2, 1)))
     assert plan.s == stop_index(2, 1, 3, 2) == 2
     assert plan.total == Fraction(45)
     by_j = {}
@@ -51,7 +50,7 @@ def test_plan_small_example_by_hand():
 def test_plan_respects_leader_skipping():
     p = make(n=2, kp=4, k=4, m=1, r=2, f=128)
     d = RequestVector((1, 2, 1, 2))  # leaders {0, 1}
-    plan = plan_schedule(p, d, ExpectedSizes(p))
+    plan = plan_schedule(p, d)
     for msg in plan.messages:
         assert msg.subset_mask & 0b0011, f"leaderless subset {msg.subset_mask:b} scheduled"
     scheduled = {m.subset_mask for m in plan.messages if m.j == 2}
@@ -60,10 +59,10 @@ def test_plan_respects_leader_skipping():
 
 def test_plan_full_and_empty_caches():
     full = make(n=2, m=2)
-    plan = plan_schedule(full, RequestVector((1, 2, 1)), ExpectedSizes(full))
+    plan = plan_schedule(full, RequestVector((1, 2, 1)))
     assert plan.s == 4 and plan.total == 0 and plan.messages == []
     empty = make(n=2, m=0)
-    plan = plan_schedule(empty, RequestVector((1, 2, 1)), ExpectedSizes(empty))
+    plan = plan_schedule(empty, RequestVector((1, 2, 1)))
     assert plan.total == 2 * empty.f  # min(n, k) files in full
 
 
@@ -82,7 +81,7 @@ def test_plan_on_expected_sizes_equals_closed_form():
         if validate(p):
             continue
         d = RequestVector(tuple(rng.randint(1, n) for _ in range(k)))
-        plan = plan_schedule(p, d, ExpectedSizes(p))
+        plan = plan_schedule(p, d)
         want = rate_mds_dec(n, m, k, r, n_distinct=d.n_distinct) * f
         assert plan.total == want, (n, m, k, r, f, d.files)
         done += 1
@@ -92,7 +91,7 @@ def test_plan_r_one_schedules_every_leader_subset():
     # plain placement: no early stop, message family {S : S hits a leader}
     p = make(n=3, kp=3, k=3, m=1, r=1, f=27)
     d = RequestVector((1, 2, 3))
-    plan = plan_schedule(p, d, ExpectedSizes(p))
+    plan = plan_schedule(p, d)
     assert plan.s == 1
     got = {(m.j, m.subset_mask) for m in plan.messages}
     want = {(j, smask)
@@ -100,23 +99,6 @@ def test_plan_r_one_schedules_every_leader_subset():
             for smask in iter_subset_masks(3, j)}
     assert got == want  # every subset hits a leader when all requests differ
     assert plan.total == rate_uncoded_dec(3, 1, 3) * p.f
-
-
-def test_measured_sizes_plan_consumes_actual_blocks():
-    p = make(f=512)
-    cache = prefetch(p, 17)
-    d = RequestVector((1, 2, 1))
-    parts = {nf: partition_subfiles(cache, range(p.k), nf, p) for nf in (0, 1)}
-    plan = plan_schedule(p, d, MeasuredSizes(parts))
-    assert plan.s in (1, 2, 3)
-    assert plan.total > 0
-    # representative segment is the mean over consumed blocks, so it lies
-    # within the extremes of that iteration's block sizes
-    for it in plan.iterations:
-        t = it.j - 1
-        all_sizes = [parts[nf].block(a).size
-                     for a in iter_subset_masks(p.k, t) for nf in (0, 1)]
-        assert min(all_sizes) <= it.seg <= max(all_sizes)
 
 
 def deliver_setup(p, d, seed, reconstruct=True):
@@ -130,7 +112,7 @@ def test_deliver_message_lengths_and_caps():
     p = make(f=10000)
     d = RequestVector((1, 2, 1))
     cache, coded, schedule = deliver_setup(p, d, 23)
-    plan = plan_schedule(p, d, ExpectedSizes(p))
+    plan = plan_schedule(p, d)
     caps = {}
     for it_plan in plan.iterations:
         caps[it_plan.j] = it_plan.incr
@@ -247,7 +229,7 @@ def planner_points(draw):
 def test_plan_total_equals_closed_form_at_random_demands(point):
     # acceptance criterion 8 covers the worst-case demand only
     p, d = point
-    plan = plan_schedule(p, d, ExpectedSizes(p))
+    plan = plan_schedule(p, d)
     assert plan.total == rate_mds_dec(p.n_files, p.m, p.k, p.r, n_distinct=d.n_distinct) * p.f
 
 
@@ -282,3 +264,17 @@ def test_columnar_broadcast_equals_object_reference(point, seed):
                               if reconstruct else ([], []))
         assert_same_messages(schedule.virtuals, virtuals)
         assert schedule.unsolved_skips == unsolved
+
+
+def test_skipped_messages_equal_elimination_at_large_k():
+    # the property test above stops at k = 10; the skipped subsets and the
+    # constituents per subset grow fastest beyond it
+    for n, k, m, r, f in [(4, 12, 2, 2, 600), (4, 16, 2, 2, 4000)]:
+        p = make(n=n, kp=k, k=k, m=m, r=r, f=f)
+        d = RequestVector.worst_case(p)
+        _, _, schedule = deliver_setup(p, d, 1)
+        virtuals, unsolved = reference_synthesize(p.k, schedule.leaders_mask, d.zero_based,
+                                                  schedule.messages)
+        assert_same_messages(schedule.virtuals, virtuals)
+        assert schedule.unsolved_skips == unsolved
+        assert virtuals and unsolved
