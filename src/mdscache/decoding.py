@@ -570,7 +570,7 @@ def decode_points(params: SystemParams, user: int, points: tuple[np.ndarray, np.
                             f"user {user} is short {deficit} symbols", points=points)
     symbols = None
     if codec is not None:
-        symbols = mds_decode(zip(idx.tolist(), vals.tolist()), codec)
+        symbols = mds_decode(np.column_stack((idx, vals)), codec)
     return DecodeResult(True, len(idx), 0, symbols, None, points=points)
 
 

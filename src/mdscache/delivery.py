@@ -32,8 +32,8 @@ from .analysis import comb0, stop_index
 from .decoding import (FALLBACK, MAIN, Broadcast, BroadcastIndex, _ranges, direct_messages,
                        seed_from_cache, strip_fixpoint, synthesize_skipped)
 from .params import (CacheContents, ParamError, RequestVector, SubfilePartition,
-                     SystemParams, fraction_str, iter_subset_masks, mask_members,
-                     mask_users, require_valid, subset_mask, subset_masks)
+                     SystemParams, fraction_str, mask_members, mask_users, require_valid,
+                     subset_mask, subset_masks)
 from .placement import expected_subfile_size, partition_subfiles
 
 
@@ -79,27 +79,11 @@ class IterationPlan:
     symbols: int = 0  # symbols sent, filled by deliver
 
 
-@dataclass(frozen=True)
-class PlannedMessage:
-    j: int
-    subset_mask: int
-    length: Fraction
-
-
 @dataclass
 class SchedulePlan:
     s: int
     iterations: list[IterationPlan]
     total: Fraction
-    k: int
-    leaders_mask: int
-
-    @property
-    def messages(self) -> list[PlannedMessage]:
-        """One message per leader subset of every iteration with a positive increment."""
-        return [PlannedMessage(j=it.j, subset_mask=smask, length=it.incr)
-                for it in self.iterations if it.incr > 0
-                for smask in iter_subset_masks(self.k, it.j) if smask & self.leaders_mask]
 
 
 def plan_schedule(params: SystemParams, d: RequestVector) -> SchedulePlan:
@@ -113,7 +97,7 @@ def plan_schedule(params: SystemParams, d: RequestVector) -> SchedulePlan:
     iterations: list[IterationPlan] = []
     total = Fraction(0)
     if acc >= f_total:
-        return SchedulePlan(s=k + 1, iterations=[], total=total, k=k, leaders_mask=u_mask)
+        return SchedulePlan(s=k + 1, iterations=[], total=total)
     for j in range(k, 0, -1):
         seg = expected_subfile_size(params, j - 1)
         c = comb0(k - 1, j - 1)
@@ -123,8 +107,7 @@ def plan_schedule(params: SystemParams, d: RequestVector) -> SchedulePlan:
         total += n_msg * incr
         iterations.append(IterationPlan(j, seg, acc, acc_new, incr, None, n_msg))
         if acc_new >= f_total:
-            return SchedulePlan(s=j, iterations=iterations, total=total, k=k,
-                                leaders_mask=u_mask)
+            return SchedulePlan(s=j, iterations=iterations, total=total)
         acc = acc_new
     raise AssertionError("r >= 1 guarantees caches fill by subset size 1")
 

@@ -31,7 +31,6 @@ from .params import (ParamError, RequestVector, SystemParams, fraction_str,
 from .placement import (TAG_FILE, TAG_TRIAL, TAG_VIRTUAL, derive_seed, keyed_u64,
                         prefetch)
 
-REAL_CODEC_MAX_F = 4096
 EXACT_MATRIX_BYTES = 256 * 10**6
 
 
@@ -55,10 +54,9 @@ def require_exact_fits(params: SystemParams, demand: RequestVector) -> None:
 
 
 def choose_codec(params: SystemParams, codec: str) -> str:
-    """Resolve 'auto' to 'real' when a single-codeword codec is affordable."""
+    """Resolve 'auto' to 'real' whenever one codeword fits in GF(2^16)."""
     if codec == "auto":
-        fits = params.coded_len <= 65535 and params.f <= REAL_CODEC_MAX_F
-        return "real" if fits else "virtual"
+        return "real" if params.coded_len <= 65535 else "virtual"
     if codec == "real":
         CodecConfig.from_expansion(params.f, params.r)  # raises when infeasible
         return "real"

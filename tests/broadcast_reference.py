@@ -7,9 +7,13 @@ objects by GF(2) elimination: it finds, for each skipped subset, the
 combination of sent messages whose blocks match, without assuming the closed
 form that ``synthesize_skipped`` builds.  Tests check that ``deliver`` and
 ``synthesize_skipped`` reproduce both exactly.  ``record_of`` turns hand-built
-message objects into a record.
+message objects into a record.  ``planned_messages`` lists the messages a
+``SchedulePlan`` schedules, one per leader subset, at their exact lengths.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -17,6 +21,21 @@ from mdscache.decoding import KINDS, Broadcast, BroadcastMessage, MessageCompone
 from mdscache.delivery import leaders, plan_schedule
 from mdscache.params import iter_subset_masks, mask_users, subset_mask
 from mdscache.placement import partition_subfiles
+
+
+@dataclass(frozen=True)
+class PlannedMessage:
+    j: int
+    subset_mask: int
+    length: Fraction
+
+
+def planned_messages(plan, k, d) -> list[PlannedMessage]:
+    """One message per leader subset of every iteration with a positive increment."""
+    u_mask = subset_mask(leaders(d))
+    return [PlannedMessage(j=it.j, subset_mask=smask, length=it.incr)
+            for it in plan.iterations if it.incr > 0
+            for smask in iter_subset_masks(k, it.j) if smask & u_mask]
 
 
 def record_of(messages) -> Broadcast:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from broadcast_reference import assert_same_messages, reference_messages, reference_synthesize
+from broadcast_reference import (assert_same_messages, planned_messages, reference_messages,
+                                 reference_synthesize)
 from mdscache.analysis import rate_mds_dec, rate_uncoded_dec, stop_index
 from mdscache.delivery import deliver, leaders, plan_schedule
 from mdscache.params import (RequestVector, SystemParams, iter_subset_masks,
@@ -36,11 +37,12 @@ def test_leaders():
 def test_plan_small_example_by_hand():
     # n=2 m=1 k=3 r=2 f=64: cached 32, expected sizes 2F*q^t(1-q)^(3-t)
     p = make()
-    plan = plan_schedule(p, RequestVector((1, 2, 1)))
+    d = RequestVector((1, 2, 1))
+    plan = plan_schedule(p, d)
     assert plan.s == stop_index(2, 1, 3, 2) == 2
     assert plan.total == Fraction(45)
     by_j = {}
-    for msg in plan.messages:
+    for msg in planned_messages(plan, p.k, d):
         by_j.setdefault(msg.j, []).append(msg)
     assert sorted(by_j) == [2, 3]
     assert len(by_j[3]) == 1 and by_j[3][0].length == Fraction(6)
@@ -50,17 +52,18 @@ def test_plan_small_example_by_hand():
 def test_plan_respects_leader_skipping():
     p = make(n=2, kp=4, k=4, m=1, r=2, f=128)
     d = RequestVector((1, 2, 1, 2))  # leaders {0, 1}
-    plan = plan_schedule(p, d)
-    for msg in plan.messages:
+    messages = planned_messages(plan_schedule(p, d), p.k, d)
+    for msg in messages:
         assert msg.subset_mask & 0b0011, f"leaderless subset {msg.subset_mask:b} scheduled"
-    scheduled = {m.subset_mask for m in plan.messages if m.j == 2}
+    scheduled = {m.subset_mask for m in messages if m.j == 2}
     assert 0b1100 not in scheduled
 
 
 def test_plan_full_and_empty_caches():
     full = make(n=2, m=2)
-    plan = plan_schedule(full, RequestVector((1, 2, 1)))
-    assert plan.s == 4 and plan.total == 0 and plan.messages == []
+    d = RequestVector((1, 2, 1))
+    plan = plan_schedule(full, d)
+    assert plan.s == 4 and plan.total == 0 and planned_messages(plan, full.k, d) == []
     empty = make(n=2, m=0)
     plan = plan_schedule(empty, RequestVector((1, 2, 1)))
     assert plan.total == 2 * empty.f  # min(n, k) files in full
@@ -93,7 +96,7 @@ def test_plan_r_one_schedules_every_leader_subset():
     d = RequestVector((1, 2, 3))
     plan = plan_schedule(p, d)
     assert plan.s == 1
-    got = {(m.j, m.subset_mask) for m in plan.messages}
+    got = {(m.j, m.subset_mask) for m in planned_messages(plan, p.k, d)}
     want = {(j, smask)
             for j in range(3, 0, -1)
             for smask in iter_subset_masks(3, j)}

@@ -3,14 +3,12 @@ import hashlib
 import itertools
 import json
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdscache import mds
 from mdscache.gf import field
 from mdscache.mds import (CodecConfig, InsufficientSymbolsError,
                           generator_matrix, mds_decode, mds_encode)
@@ -18,7 +16,7 @@ from mdscache.simulate import pseudo_symbols
 
 
 def naive_eval(gf, xs, ys, t):
-    """Schoolbook Lagrange evaluation, the oracle for the fast interpolator."""
+    """Schoolbook Lagrange evaluation, the oracle for the transform codec."""
     total = 0
     for i, xi in enumerate(xs):
         num, den = 1, 1
@@ -176,28 +174,74 @@ def test_parity_only_decode():
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(width=st.sampled_from([8, 16]), f=st.integers(1, 24), extra=st.integers(0, 24),
        zero_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
-       budget=st.one_of(st.integers(1, 600), st.just(mds._BLOCK_ELEMENTS)),
        seed=st.integers(0, 2**32 - 1))
-@example(width=16, f=1, extra=0, zero_share=0.0, budget=mds._BLOCK_ELEMENTS, seed=0)  # f = 1, r = 1
-@example(width=8, f=1, extra=7, zero_share=0.0, budget=1, seed=1)
-@example(width=16, f=9, extra=0, zero_share=0.5, budget=20, seed=2)  # r = 1
-@example(width=8, f=24, extra=24, zero_share=0.9, budget=100, seed=3)  # 4-row blocks, 24 = 6 * 4
-@example(width=16, f=23, extra=17, zero_share=0.9, budget=100, seed=4)  # 17 targets in 4-row blocks
-def test_blocked_codec_matches_lagrange_and_roundtrips(width, f, extra, zero_share, budget, seed):
-    # the block budget sets the rows per kernel call; outputs must not depend on it
+@example(width=16, f=1, extra=0, zero_share=0.0, seed=0)  # f = 1, r = 1
+@example(width=8, f=1, extra=7, zero_share=0.0, seed=1)
+@example(width=16, f=9, extra=0, zero_share=0.5, seed=2)  # r = 1
+@example(width=8, f=24, extra=24, zero_share=0.9, seed=3)
+@example(width=16, f=23, extra=17, zero_share=0.9, seed=4)
+@example(width=16, f=5, extra=11, zero_share=0.0, seed=5)  # n = 16 = 2^4: N = n
+@example(width=8, f=12, extra=5, zero_share=0.5, seed=6)  # n = 17 = 2^4 + 1: N = 32
+@example(width=16, f=1, extra=1, zero_share=0.0, seed=7)  # n = 2: one level
+@example(width=8, f=2, extra=1, zero_share=0.0, seed=8)  # n = 3 = 2^1 + 1
+@example(width=16, f=20, extra=12, zero_share=0.9, seed=9)  # n = 32 = 2^5
+@example(width=16, f=24, extra=9, zero_share=0.0, seed=10)  # n = 33 = 2^5 + 1
+def test_fft_codec_matches_lagrange_and_roundtrips(width, f, extra, zero_share, seed):
+    # the transform size N = 2^ceil(log2 n) changes between n = 2^j and 2^j + 1
     config = CodecConfig(f, f + extra, field_width=width)
     gf = config.gf
     rng = np.random.default_rng(seed)
     data = rng.integers(0, gf.order, size=f).astype(np.int64)
-    data[rng.random(f) < zero_share] = 0  # zero w_j*y_j terms take the placeholder path
-    with mock.patch.object(mds, "_BLOCK_ELEMENTS", budget):
-        coded = mds_encode(data, config)
-        assert np.array_equal(coded[:f], data)
-        for t in range(f, config.n):
-            assert coded[t] == naive_eval(gf, list(range(f)), data.tolist(), t)
-        keep = rng.permutation(config.n)[:f]
-        got = mds_decode([(int(i), int(coded[i])) for i in keep], config)
+    data[rng.random(f) < zero_share] = 0  # zero symbols map to the zero band of the product table
+    coded = mds_encode(data, config)
+    assert np.array_equal(coded[:f], data)
+    for t in range(f, config.n):
+        assert coded[t] == naive_eval(gf, list(range(f)), data.tolist(), t)
+    keep = rng.permutation(config.n)[:f]
+    got = mds_decode([(int(i), int(coded[i])) for i in keep], config)
     assert np.array_equal(got, data)
+
+
+def test_field_edge_codewords_in_closed_form():
+    # n = 65535 fills N = 65536 = all of GF(2^16), the most erasures a transform holds
+    config = CodecConfig(1, 65535)
+    coded = mds_encode(np.array([40503]), config)
+    assert np.array_equal(coded, np.full(65535, 40503))  # degree 0: constant
+    assert mds_decode([(65534, 40503)], config).tolist() == [40503]
+    # degree 1 through (0, y0) and (1, y1): p(x) = y0 ^ (y0 ^ y1) * x
+    config = CodecConfig(2, 65535)
+    y0, y1 = 51966, 4660
+    coded = mds_encode(np.array([y0, y1]), config)
+    gf = config.gf
+    xs = np.arange(65535)
+    assert np.array_equal(coded, y0 ^ gf.mul_vec(np.full(65535, y0 ^ y1), xs))
+
+
+def test_largest_codeword_roundtrips_from_top_parity():
+    config = CodecConfig.from_expansion(32767, 2)
+    assert config.n == 65534
+    data = pseudo_symbols(9, 32767)
+    coded = mds_encode(data, config)
+    top = np.arange(config.n - config.f, config.n)
+    got = mds_decode(np.column_stack((top, coded[top])), config)
+    assert np.array_equal(got, data)
+
+
+def test_decode_accepts_pair_arrays_and_reports_faults_in_input_order():
+    config = CodecConfig(4, 8)
+    data = np.array([9, 8, 7, 6], dtype=np.int64)
+    coded = mds_encode(data, config)
+    pairs = np.column_stack((np.arange(8), coded))
+    assert np.array_equal(mds_decode(pairs[::-1], config), data)
+    assert np.array_equal(mds_decode(((int(i), int(v)) for i, v in pairs[4:]), config), data)
+    with pytest.raises(ValueError, match="outside"):
+        mds_decode([(0, 1), (8, 2), (0, 3)], config)
+    with pytest.raises(ValueError, match="conflicting values supplied for coded index 0"):
+        mds_decode([(0, 1), (0, 3), (8, 2)], config)
+    with pytest.raises(ValueError, match="pairs"):
+        mds_decode(np.zeros((4, 3), dtype=np.int64), config)
+    with pytest.raises(InsufficientSymbolsError, match="got 0"):
+        mds_decode([], config)
 
 
 @pytest.mark.parametrize("f,n,width", [(1, 1, 16), (1, 4, 8), (6, 10, 16), (37, 100, 16),
@@ -211,7 +255,7 @@ def test_generator_matrix_columns_are_unit_encodes(f, n, width):
 
 
 def test_parity_pinned_at_benchmark_size():
-    # recorded with the per-target interpolation loop the blocked kernel replaced
+    # recorded with the per-target interpolation loop that preceded the transform codec
     coded = mds_encode(pseudo_symbols(1, 4096, 65535), CodecConfig(4096, 8192))
     assert {i: int(coded[i]) for i in (4096, 4097, 5000, 6143, 8191)} == {
         4096: 8880, 4097: 2342, 5000: 32800, 6143: 46473, 8191: 60026}

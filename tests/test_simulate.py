@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from mdscache.analysis import rate_mds_dec
 from mdscache.params import RequestVector, SystemParams, suggest_feasible_f
-from mdscache.simulate import (REAL_CODEC_MAX_F, choose_codec,
-                               compare_to_theory, pseudo_symbols,
+from mdscache.simulate import (choose_codec, compare_to_theory, pseudo_symbols,
                                run_one_trial, run_trials)
 
 
@@ -34,8 +33,9 @@ def test_pseudo_symbols_deterministic_and_bounded():
 def test_choose_codec_auto_thresholds():
     assert choose_codec(make(f=1000), "auto") == "real"
     assert choose_codec(make(f=100000), "auto") == "virtual"  # 2e5 > field size
-    big_f = make(f=REAL_CODEC_MAX_F * 2, r=1, m=0)
-    assert choose_codec(big_f, "auto") == "virtual"  # interpolation too slow
+    # auto is real exactly when the codeword fits in GF(2^16): r*f <= 65535
+    assert choose_codec(make(f=32767), "auto") == "real"
+    assert choose_codec(make(f=32768), "auto") == "virtual"
     assert choose_codec(make(f=1000), "virtual") == "virtual"
     with pytest.raises(ValueError):
         choose_codec(make(f=100000), "real")
