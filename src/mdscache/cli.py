@@ -264,6 +264,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     def corrupted_field_detected() -> None:
         from .gf import GF2
         bad = GF2(8)
+        bad.exp.flags.writeable = True  # a private instance; the shared tables stay read-only
         bad.exp[5] ^= 1
         assert bad.verify(), "corrupted table passed verification"
 

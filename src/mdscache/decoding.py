@@ -661,8 +661,8 @@ def _pivot_counts(gf, mat: np.ndarray, split: int) -> tuple[int, int]:
             # the factors are nonzero, and a zero of the pivot row changes
             # nothing, so only its nonzero columns are multiplied out
             nz = np.flatnonzero(mat[pr])
-            logs = gf.log_np[mat[others, col]][:, None] + gf.log_np[mat[pr, nz]]
-            mat[np.ix_(others, nz)] ^= gf.exp_np[logs]
+            logs = gf.log[mat[others, col]][:, None] + gf.log[mat[pr, nz]]
+            mat[np.ix_(others, nz)] ^= gf.exp[logs]
         if col < split:
             p_left += 1
         else:

@@ -1,4 +1,12 @@
-"""Arithmetic over GF(2^8) and GF(2^16) using log/antilog tables."""
+"""Arithmetic over GF(2^8) and GF(2^16) using one pair of log/antilog tables.
+
+With q1 = 2^width - 1, ``exp`` (uint16) holds x^0 .. x^(q1-1) twice, then a
+zero band, 4 q1 + 1 entries in all; ``log`` (int32) sends a nonzero element
+to its discrete log and 0 to the sentinel 2 q1.  So exp[log[a] + log[b]] is
+a * b for every a and b, zeros included: a sum with a sentinel in it lands in
+the zero band, and the band is never written, so it takes no resident memory.
+Both tables are read-only.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -19,72 +27,70 @@ class GF2:
         self._build_tables()
 
     def _build_tables(self) -> None:
-        size = self.order
-        # exp table is doubled so products of two logs never need a modulo
-        exp = [0] * (2 * (size - 1))
-        log = [0] * size
-        x = 1
-        for i in range(size - 1):
-            exp[i] = x
-            log[x] = i
-            x <<= 1
-            if x & size:
-                x ^= self.poly
-        if x != 1:
+        q1 = self.order - 1
+        # x^0 .. x^(order-1) by doubling: the next block is this one times x^len
+        powers = np.ones(1, dtype=np.int64)
+        while powers.size < self.order:
+            powers = np.concatenate([powers, self.mul_slow(powers, self.mul_slow(int(powers[-1]), 2))])
+        if powers[q1] != 1:
             raise AssertionError(f"0x{self.poly:X} is not primitive for width {self.width}")
-        for i in range(size - 1, 2 * (size - 1)):
-            exp[i] = exp[i - (size - 1)]
+        exp = np.zeros(4 * q1 + 1, dtype=np.uint16)
+        exp[:q1] = exp[q1: 2 * q1] = powers[:q1]
+        log = np.empty(self.order, dtype=np.int32)
+        log[powers[:q1]] = np.arange(q1, dtype=np.int32)
+        log[0] = 2 * q1
+        exp.flags.writeable = log.flags.writeable = False
         self.exp = exp
         self.log = log
-        self.exp_np = np.asarray(exp, dtype=np.int64)
-        self.log_np = np.asarray(log, dtype=np.int64)
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
+        return int(self.exp[self.log[a] + self.log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.exp[self.order - 1 - self.log[a]]
+        return int(self.exp[self.order - 1 - self.log[a]])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of two symbol arrays (broadcasting allowed)."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = self.exp_np[self.log_np[a] + self.log_np[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+        """Elementwise product of two symbol arrays (broadcasting allowed), as uint16."""
+        return self.exp[self.log[a] + self.log[b]]
 
-    def mul_slow(self, a: int, b: int) -> int:
-        """Bitwise carry-less multiply with polynomial reduction; table-free reference."""
+    def mul_slow(self, a, b: int):
+        """Bitwise carry-less multiply with polynomial reduction; table-free reference.
+
+        ``a`` may be an int or an int64 array, multiplied elementwise by ``b``."""
         acc = 0
         while b:
             if b & 1:
                 acc ^= a
             b >>= 1
-            a <<= 1
-            if a & self.order:
-                a ^= self.poly
+            a = a << 1
+            a ^= (a >> self.width) * self.poly
         return acc
 
     def verify(self, samples: int = 200) -> list[str]:
         """Check table integrity and field axioms; returns a list of problems."""
         problems: list[str] = []
         size = self.order
-        seen = [False] * size
-        for i in range(size - 1):
-            v = self.exp[i]
-            if not 0 < v < size or seen[v]:
-                problems.append(f"exp[{i}] = {v} breaks the nonzero-element bijection")
-                break
-            seen[v] = True
-            if self.log[v] != i:
-                problems.append(f"log[exp[{i}]] = {self.log[v]} != {i}")
-                break
+        q1 = size - 1
+        exp, log = self.exp, self.log
+        first = exp[:q1].astype(np.int64)
+        if first.min() == 0 or first.max() >= size or np.unique(first).size != q1:
+            problems.append(f"exp[:{q1}] is not a bijection onto the nonzero elements")
+        elif (bad := np.flatnonzero(log[first] != np.arange(q1))).size:
+            i = int(bad[0])
+            problems.append(f"log[exp[{i}]] = {log[first[i]]} != {i}")
+        bad = np.flatnonzero(exp[q1: 2 * q1] != exp[:q1])
+        if bad.size:
+            problems.append(f"exp[{q1 + bad[0]}] breaks the doubled half")
+        bad = np.flatnonzero(exp[2 * q1:])
+        if bad.size:
+            problems.append(f"exp[{2 * q1 + bad[0]}] breaks the zero band")
+        if log[0] != 2 * q1:
+            problems.append(f"log[0] = {log[0]} is not the sentinel {2 * q1}")
         # deterministic sample walk over element pairs
         step = max(1, (size - 1) // samples)
         pairs = [(1 + (i * step) % (size - 1), 1 + (i * step * 7 + 3) % (size - 1)) for i in range(samples)]

@@ -101,28 +101,12 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=None)
-def _product_tables(width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log, exp) tables with log 0 sent into a zero band of exp, so that
-    exp[log[a] + log[b]] is the product a * b for every a and b, zeros included.
-
-    Narrow dtypes keep the tables small and the butterflies' gathers cheap; the
-    zero band is never written, so it takes no resident memory."""
-    gf = field(width)
-    q1 = gf.order - 1
-    log = gf.log_np.astype(np.int32)
-    log[0] = 2 * q1
-    exp = np.zeros(4 * q1 + 1, dtype=np.uint16)
-    exp[: 2 * q1] = gf.exp_np
-    return _readonly(log), _readonly(exp)
-
-
 class _Transform(NamedTuple):
-    """Per-(field width, log N) constants of the transforms, logs as in _product_tables."""
+    """Per-(field width, log N) constants of the transforms, logs as in ``GF2.log``."""
 
     skews: tuple[np.ndarray, ...]  # level i: log U_i(o) per block offset o, a column
     slopes: tuple[int, ...]  # level l: log c_l, the derivative of U_l
-    log_hat: np.ndarray  # Walsh-Hadamard transform of gf.log_np[:N], mod 2^width - 1
+    log_hat: np.ndarray  # Walsh-Hadamard transform of gf.log[:N] with log 0 = 0, mod 2^width - 1
 
 
 def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
@@ -142,7 +126,7 @@ def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
 def _transform(width: int, levels: int) -> _Transform:
     """The transform constants over {0..2^levels - 1} in GF(2^width), built once."""
     gf = field(width)
-    log, _ = _product_tables(width)
+    log = gf.log
     # w[j] = W_i(2^j) for the current level i, from W_{i+1}(x) = W_i(x) (W_i(x) ^ W_i(2^i))
     w = [1 << j for j in range(levels)]
     slope = 1  # linear coefficient of W_i: W_{i+1} = W_i^2 + W_i(2^i) W_i
@@ -157,7 +141,9 @@ def _transform(width: int, levels: int) -> _Transform:
         slopes.append(int(log[gf.mul(slope, norm)]))
         slope = gf.mul(slope, w[i])
         w = [gf.mul(x, x ^ w[i]) for x in w]
-    log_hat = _walsh_hadamard(gf.log_np[: 1 << levels].copy()) % (gf.order - 1)
+    q1 = gf.order - 1
+    # % q1 sends the sentinel log 0 = 2 q1 to 0; the transform runs in int64
+    log_hat = _walsh_hadamard((log[: 1 << levels] % q1).astype(np.int64)) % q1
     return _Transform(tuple(skews), tuple(slopes), _readonly(log_hat))
 
 
@@ -179,8 +165,9 @@ def _erasure_decode(width: int, levels: int, known: np.ndarray, values: np.ndarr
                     wanted: np.ndarray) -> np.ndarray:
     """Values at the erased points ``wanted`` of the polynomial of degree < len(known)
     through (known, values), all points in {0..2^levels - 1}."""
-    q1 = (1 << width) - 1
-    log, exp = _product_tables(width)
+    gf = field(width)
+    q1 = gf.order - 1
+    log, exp = gf.log, gf.exp
     skews, slopes, _ = _transform(width, levels)
     erased = np.ones(1 << levels, dtype=np.int64)
     erased[known] = 0
@@ -278,6 +265,6 @@ def generator_matrix(config: CodecConfig) -> np.ndarray:
     # log ell(t) at the targets and log 1 / w_i at the nodes
     sums = _log_sums(config.field_width, levels, nodes)
     targets = np.arange(config.f, config.n)
-    d_log = gf.log_np[targets[:, None] ^ np.arange(config.f)[None, :]]
-    mat[config.f:] = gf.exp_np[(sums[targets, None] - sums[None, : config.f] - d_log) % q1]
+    d_log = gf.log[targets[:, None] ^ np.arange(config.f)[None, :]]
+    mat[config.f:] = gf.exp[(sums[targets, None] - sums[None, : config.f] - d_log) % q1]
     return mat

@@ -232,11 +232,6 @@ def subset_masks(k: int, size: int) -> np.ndarray:
     return masks
 
 
-def iter_subset_masks(k: int, size: int):
-    """Masks of all size-element subsets of users 0..k-1, ascending as integers."""
-    yield from subset_masks(k, size).tolist()
-
-
 def mask_members(masks: np.ndarray, k: int, size: int) -> np.ndarray:
     """Users of each size-element subset of users 0..k-1, ascending along each row."""
     bits = (masks[:, None] >> np.arange(k, dtype=np.int64)) & 1

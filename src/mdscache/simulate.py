@@ -4,7 +4,7 @@ Coded files come in two flavors:
 
 * real: files are random symbol strings, coded by the MDS codec, and every
   successful decode reconstructs the original file bit-exactly (needs
-  r*f <= 65535 and affordable interpolation, so moderate f)
+  r*f <= 65535, so that a codeword fits in GF(2^16))
 * virtual: coded symbols are seeded pseudo-random values; a user succeeds when
   it ends up knowing >= f distinct coded symbols of its file, every one equal
   to the ground truth.  Delivery and accounting are value-exact either way,
@@ -192,6 +192,8 @@ def run_trials(params: SystemParams, demand: RequestVector | None = None,
     require_enumerable(params)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if mode not in ("accounting", "exact"):
         raise ValueError(f"mode must be accounting or exact, got {mode!r}")
     if demand is None:
@@ -216,6 +218,8 @@ def compare_to_theory(stats: TrialStats, tolerance: float,
                       worst_case: bool = False) -> dict:
     """Check mean empirical rate against the closed form at the demand's
     distinct-file count (or the worst case), plus full decode success."""
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     p = stats.params
     n_distinct = None if worst_case else stats.n_distinct
     theory = rate_mds_dec(p.n_files, p.m, p.k, p.r, n_distinct=n_distinct)

@@ -19,7 +19,7 @@ import numpy as np
 
 from mdscache.decoding import KINDS, Broadcast, BroadcastMessage, MessageComponent
 from mdscache.delivery import leaders, plan_schedule
-from mdscache.params import iter_subset_masks, mask_users, subset_mask
+from mdscache.params import mask_users, subset_mask, subset_masks
 from mdscache.placement import partition_subfiles
 
 
@@ -35,7 +35,7 @@ def planned_messages(plan, k, d) -> list[PlannedMessage]:
     u_mask = subset_mask(leaders(d))
     return [PlannedMessage(j=it.j, subset_mask=smask, length=it.incr)
             for it in plan.iterations if it.incr > 0
-            for smask in iter_subset_masks(k, it.j) if smask & u_mask]
+            for smask in subset_masks(k, it.j).tolist() if smask & u_mask]
 
 
 def record_of(messages) -> Broadcast:
@@ -72,7 +72,7 @@ def reference_messages(params, cache, d, coded_files, reconstruct=True) -> list[
         cap = -((-it.incr.numerator) // it.incr.denominator)
         if cap == 0:
             continue
-        for smask in iter_subset_masks(k, it.j):
+        for smask in subset_masks(k, it.j).tolist():
             is_main = bool(smask & u_mask)
             if not is_main and (reconstruct or it.j < 2):
                 continue
@@ -114,7 +114,7 @@ def reference_synthesize(k, leaders_mask, demand0, messages):
     for j, msgs in by_j.items():
         if j < 2:
             continue
-        skipped = [s for s in iter_subset_masks(k, j) if not s & leaders_mask]
+        skipped = [s for s in subset_masks(k, j).tolist() if not s & leaders_mask]
         if not skipped:
             continue
         block_ids = {}

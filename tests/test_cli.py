@@ -182,6 +182,14 @@ def test_simulate_infeasible_f_suggests(capsys):
                        "--r", "3/2", "--f", "1001")
     assert code == 2
     assert "smallest feasible f" in err
+    # a worker count or tolerance that no run can use is an error, not a serial run
+    base = ("simulate", "--n", "2", "--m", "1", "--k", "3", "--r", "2", "--f", "64",
+            "--trials", "1")
+    for flag, value, needle in (("--jobs", "0", "jobs"), ("--jobs", "-3", "jobs"),
+                                ("--tolerance", "-0.1", "tolerance")):
+        code, _, err = run(capsys, *base, flag, value)
+        assert code == 2
+        assert f"{needle} must be >= " in err
 
 
 def test_simulate_tolerance_zero_fails_with_explanation(capsys):

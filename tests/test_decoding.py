@@ -17,8 +17,8 @@ from mdscache.decoding import (BroadcastIndex, BroadcastMessage, MessageComponen
                                synthesize_skipped)
 from mdscache.delivery import deliver
 from mdscache.mds import CodecConfig, mds_encode
-from mdscache.params import (RequestVector, SystemParams, iter_subset_masks,
-                             subset_mask, suggest_feasible_f)
+from mdscache.params import (RequestVector, SystemParams, subset_mask, subset_masks,
+                             suggest_feasible_f)
 from mdscache.placement import derive_seed, prefetch
 from mdscache.simulate import pseudo_symbols
 
@@ -223,7 +223,7 @@ def test_synthesis_across_seeds_never_fails():
         for it in schedule.iterations:
             if it.j < 2 or it.incr <= 0:
                 continue
-            for smask in iter_subset_masks(p.k, it.j):
+            for smask in subset_masks(p.k, it.j).tolist():
                 if not smask & schedule.leaders_mask:
                     assert smask in skipped
 

@@ -11,8 +11,8 @@ from broadcast_reference import (assert_same_messages, planned_messages, referen
                                  reference_synthesize)
 from mdscache.analysis import rate_mds_dec, rate_uncoded_dec, stop_index
 from mdscache.delivery import deliver, leaders, plan_schedule
-from mdscache.params import (RequestVector, SystemParams, iter_subset_masks,
-                             mask_users, suggest_feasible_f, validate)
+from mdscache.params import (RequestVector, SystemParams, mask_users, subset_masks,
+                             suggest_feasible_f, validate)
 from mdscache.placement import derive_seed, prefetch
 from mdscache.simulate import pseudo_symbols
 
@@ -99,7 +99,7 @@ def test_plan_r_one_schedules_every_leader_subset():
     got = {(m.j, m.subset_mask) for m in planned_messages(plan, p.k, d)}
     want = {(j, smask)
             for j in range(3, 0, -1)
-            for smask in iter_subset_masks(3, j)}
+            for smask in subset_masks(3, j).tolist()}
     assert got == want  # every subset hits a leader when all requests differ
     assert plan.total == rate_uncoded_dec(3, 1, 3) * p.f
 

@@ -73,11 +73,16 @@ def test_vectorized_mul_matches_scalar(width):
     rng = np.random.default_rng(width)
     a = rng.integers(0, gf.order, size=1000).astype(np.int64)
     b = rng.integers(0, gf.order, size=1000).astype(np.int64)
+    # zero operands on either side and on both
+    a[:50] = 0
+    b[25:75] = 0
     got = gf.mul_vec(a, b)
     want = np.array([gf.mul(int(x), int(y)) for x, y in zip(a, b)], dtype=np.int64)
     assert np.array_equal(got, want)
-    # broadcasting against a scalar
+    assert not got[:75].any()
+    # broadcasting against a scalar, zero included
     assert np.array_equal(gf.mul_vec(a, 7), np.array([gf.mul(int(x), 7) for x in a]))
+    assert not gf.mul_vec(a, 0).any() and not gf.mul_vec(0, b).any()
 
 
 def test_zero_has_no_inverse():
@@ -93,17 +98,45 @@ def test_verify_passes_on_clean_tables(width):
     assert field(width).verify() == []
 
 
+def _writable_copy(width: int) -> GF2:
+    """A private instance, so the shared cache stays intact, with writable tables."""
+    bad = GF2(width)
+    bad.exp.flags.writeable = bad.log.flags.writeable = True
+    return bad
+
+
 def test_verify_catches_corrupted_exp_table():
-    # private instance so the shared cache stays intact
-    bad = GF2(8)
+    bad = _writable_copy(8)
     bad.exp[10] ^= 3
     assert bad.verify() != []
 
 
 def test_verify_catches_corrupted_log_table():
-    bad = GF2(16)
+    bad = _writable_copy(16)
     bad.log[12345] ^= 1
     assert bad.verify() != []
+
+
+@pytest.mark.parametrize("width", [8, 16])
+@pytest.mark.parametrize("table, at", [
+    ("exp", lambda q1: q1 + 10),       # the doubled half
+    ("exp", lambda q1: 2 * q1 + 10),   # the zero band
+    ("exp", lambda q1: 4 * q1),        # the product of two zeros
+    ("log", lambda q1: 0),             # the zero sentinel
+], ids=["exp-doubled-half", "exp-zero-band", "exp-zero-times-zero", "log-zero"])
+def test_verify_catches_corrupted_table_region(width, table, at):
+    bad = _writable_copy(width)
+    getattr(bad, table)[at(bad.order - 1)] ^= 3
+    assert bad.verify() != []
+
+
+def test_field_holds_two_small_readonly_tables():
+    gf = field(16)
+    tables = [v for v in vars(gf).values() if isinstance(v, np.ndarray)]
+    assert len(tables) == 2
+    assert all(not t.flags.writeable for t in tables)
+    assert sum(t.nbytes for t in tables) < 1 << 20
+    assert not any(isinstance(v, list) for v in vars(gf).values())
 
 
 def test_field_cache_returns_same_instance():

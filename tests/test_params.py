@@ -7,9 +7,8 @@ import pytest
 
 from mdscache.params import (CacheContents, ParamError, RequestVector,
                              SubfilePartition, SystemParams, as_fraction,
-                             fraction_str, iter_subset_masks, mask_users,
-                             require_valid, subset_mask, subset_masks,
-                             suggest_feasible_f, validate)
+                             fraction_str, mask_users, require_valid, subset_mask,
+                             subset_masks, suggest_feasible_f, validate)
 
 
 def make(n=2, kp=3, k=3, m=1, r=2, f=64) -> SystemParams:
@@ -122,11 +121,11 @@ def test_worst_case_round_robin():
 def test_subset_masks():
     assert subset_mask([0, 2]) == 0b101
     assert mask_users(0b1011) == (0, 1, 3)
-    masks = list(iter_subset_masks(4, 2))
+    masks = subset_masks(4, 2).tolist()
     assert len(masks) == 6
     assert masks == sorted(masks)
     assert all(bin(m).count("1") == 2 for m in masks)
-    assert list(iter_subset_masks(3, 0)) == [0]
+    assert subset_masks(3, 0).tolist() == [0]
 
 
 def test_subset_masks_at_k16():
@@ -138,7 +137,6 @@ def test_subset_masks_at_k16():
         assert table.size == comb(16, j)
         assert np.all(np.diff(table) > 0)
         assert all(m.bit_count() == j for m in table.tolist())
-    assert list(iter_subset_masks(16, 3)) == tables[3].tolist()
     assert not tables[3].flags.writeable
 
 

@@ -73,6 +73,9 @@ def test_run_trials_deterministic_and_jobs_invariant():
         assert [t.seed for t in x.trials] == [t.seed for t in y.trials]
     d = run_trials(p, trials=4, seed=43)
     assert [t.total_symbols for t in a.trials] != [t.total_symbols for t in d.trials]
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_trials(p, trials=1, jobs=jobs)
 
 
 def test_trial_prefix_stability():
@@ -184,6 +187,9 @@ def test_compare_to_theory_zero_tolerance_explains():
     comp = compare_to_theory(stats, 0.0)
     assert not comp["passed"]
     assert "tolerance 0" in comp["message"]
+    for tolerance in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            compare_to_theory(stats, tolerance)
 
 
 def test_full_cache_trial_sends_nothing():
