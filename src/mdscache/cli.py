@@ -24,7 +24,7 @@ from .analysis import (best_r, rate_mds_dec, rate_uncoded_cen,
                        rate_uncoded_dec, stop_index)
 from .params import (ParamError, RequestVector, SystemParams, as_fraction,
                      fraction_str, require_valid)
-from .simulate import compare_to_theory, run_trials
+from .simulate import check_tolerance, compare_to_theory, run_trials
 
 
 def dec_str(x: Fraction, digits: int = 12) -> str:
@@ -160,6 +160,7 @@ def _run_simulate(args: argparse.Namespace, preset: dict | None = None) -> int:
             raise ParamError(f"missing required parameter: --{key}")
     params = _build_params(opt)
     demand = _parse_demand(opt["demand"]) if opt.get("demand") else None
+    tolerance = check_tolerance(opt.get("tolerance", 0.02))
     stats = run_trials(
         params,
         demand=demand,
@@ -170,7 +171,7 @@ def _run_simulate(args: argparse.Namespace, preset: dict | None = None) -> int:
         jobs=int(opt.get("jobs", 1)),
         reconstruct=not opt.get("no_reconstruct", False),
     )
-    comparison = compare_to_theory(stats, float(opt.get("tolerance", 0.02)))
+    comparison = compare_to_theory(stats, tolerance)
     per_iter: dict[str, float] = {}
     for t in stats.trials:
         for j, symbols in t.per_iteration:

@@ -18,8 +18,8 @@ caching the block, the number of covered indices and the block length before
 truncation, and all covered indices concatenated.  Delivery, skipped-message
 synthesis, the index and the receiver pass read these arrays; an accounting
 trial builds no per-message or per-component Python object.  Iterating a
-record yields ``BroadcastMessage`` views, for serialization, the exact
-decode, failure reports and tests.
+record yields ``BroadcastMessage`` views, for the exact decode, failure
+reports and tests.
 
 The stripping pass is event driven over a ``BroadcastIndex`` built once per
 broadcast.  A message yields when all but one of its components are known.

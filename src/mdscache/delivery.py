@@ -22,7 +22,6 @@ requested file.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,8 +31,7 @@ from .analysis import comb0, stop_index
 from .decoding import (FALLBACK, MAIN, Broadcast, BroadcastIndex, _ranges, direct_messages,
                        seed_from_cache, strip_fixpoint, synthesize_skipped)
 from .params import (CacheContents, ParamError, RequestVector, SubfilePartition,
-                     SystemParams, fraction_str, mask_members, mask_users, require_valid,
-                     subset_mask, subset_masks)
+                     SystemParams, mask_members, require_valid, subset_mask, subset_masks)
 from .placement import expected_subfile_size, partition_subfiles
 
 
@@ -70,12 +68,7 @@ def _ceil(x: Fraction) -> int:
 @dataclass
 class IterationPlan:
     j: int
-    seg: Fraction
-    acc: Fraction
-    acc_new: Fraction
     incr: Fraction
-    cap: int | None
-    n_messages: int
     symbols: int = 0  # symbols sent, filled by deliver
 
 
@@ -105,7 +98,7 @@ def plan_schedule(params: SystemParams, d: RequestVector) -> SchedulePlan:
         incr = min(seg * c, f_total - acc) / c
         n_msg = int(np.count_nonzero(subset_masks(k, j) & u_mask)) if incr > 0 else 0
         total += n_msg * incr
-        iterations.append(IterationPlan(j, seg, acc, acc_new, incr, None, n_msg))
+        iterations.append(IterationPlan(j, incr))
         if acc_new >= f_total:
             return SchedulePlan(s=j, iterations=iterations, total=total)
         acc = acc_new
@@ -124,7 +117,6 @@ class DeliverySchedule:
     messages: Broadcast
     virtuals: Broadcast  # skipped subsets, rebuilt from messages
     topups: Broadcast
-    reconstruct: bool
     unsolved_skips: list[tuple[int, int]]
     # per user: (int32 indices, values) of its requested file after its own top-up
     known_points: list[tuple[np.ndarray, np.ndarray]]
@@ -157,59 +149,6 @@ class DeliverySchedule:
             total += int(over.sum()) - over.size * it.incr
         return total
 
-    def to_json(self) -> str:
-        obj = {
-            "demand": list(self.demand.files),
-            "leaders": list(mask_users(self.leaders_mask)),
-            "stop_size": self.s,
-            "reconstruct": self.reconstruct,
-            "iterations": [
-                {
-                    "j": it.j,
-                    "seg": fraction_str(it.seg),
-                    "acc": fraction_str(it.acc),
-                    "acc_new": fraction_str(it.acc_new),
-                    "incr": fraction_str(it.incr),
-                    "cap": it.cap,
-                    "n_messages": it.n_messages,
-                    "symbols": it.symbols,
-                }
-                for it in self.iterations
-            ],
-            "messages": [
-                {
-                    "j": m.j,
-                    "subset": list(mask_users(m.subset_mask)),
-                    "length": m.length,
-                    "kind": m.kind,
-                    "components": [
-                        {
-                            "user": c.user,
-                            "file": c.file + 1,
-                            "block_subset": list(mask_users(c.block_mask)),
-                            "covered": len(c.indices),
-                            "block_len": c.full_len,
-                        }
-                        for c in m.components
-                    ],
-                }
-                for m in self.messages
-            ],
-            "topup": [
-                {"user": m.components[0].user, "file": m.components[0].file + 1,
-                 "symbols": m.length}
-                for m in self.topups
-            ],
-            "totals": {
-                "main": self.main_symbols,
-                "fallback": self.fallback_symbols,
-                "topup": self.topup_symbols,
-                "total": self.total_symbols,
-                "rounding_overshoot": fraction_str(self.rounding_overshoot),
-            },
-        }
-        return json.dumps(obj, sort_keys=True)
-
 
 def deliver(params: SystemParams, cache: CacheContents, d: RequestVector,
             coded_files: dict[int, np.ndarray], reconstruct: bool = True) -> DeliverySchedule:
@@ -229,17 +168,15 @@ def deliver(params: SystemParams, cache: CacheContents, d: RequestVector,
 
     pieces: list[Broadcast] = []
     for it in plan.iterations:
-        it.cap = _ceil(it.incr)
-        it.n_messages = 0  # messages actually sent, not leader subsets planned
-        if it.cap == 0:
+        cap = _ceil(it.incr)
+        if cap == 0:
             continue
         subsets = subset_masks(k, it.j)
         is_main = (subsets & u_mask) != 0
         if reconstruct or it.j < 2:
             subsets, is_main = subsets[is_main], is_main[is_main]
         piece = _multicast(subsets, np.where(is_main, MAIN, FALLBACK).astype(np.int8), it.j,
-                           it.cap, k, d0, partitions, coded_files)
-        it.n_messages = int(np.count_nonzero(piece.kind == MAIN))
+                           cap, k, d0, partitions, coded_files)
         it.symbols = int(piece.length.sum())
         pieces.append(piece)
     messages = Broadcast.concat(pieces)
@@ -271,7 +208,7 @@ def deliver(params: SystemParams, cache: CacheContents, d: RequestVector,
     return DeliverySchedule(params=params, demand=d, leaders_mask=u_mask, s=plan.s,
                             iterations=plan.iterations, messages=messages,
                             virtuals=virtuals, topups=direct_messages(topups),
-                            reconstruct=reconstruct, unsolved_skips=unsolved,
+                            unsolved_skips=unsolved,
                             known_points=known_points)
 
 

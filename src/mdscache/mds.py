@@ -1,9 +1,9 @@
 """Systematic maximum-distance-separable erasure codec.
 
-A file of f symbols is treated as the values of a polynomial of degree < f
-evaluated at the field elements 0..f-1.  The codeword extends the file with
-evaluations at f..n-1, so coded symbols 0..f-1 are the file itself and any f
-distinct coded symbols determine the polynomial, hence the file.
+A file of f symbols of GF(2^16) is treated as the values of a polynomial of
+degree < f evaluated at the field elements 0..f-1.  The codeword extends the
+file with evaluations at f..n-1, so coded symbols 0..f-1 are the file itself
+and any f distinct coded symbols determine the polynomial, hence the file.
 
 The points 0..n-1 lie in the GF(2)-subspace V = {0..N-1}, N = 2^ceil(log2 n),
 spanned by v_i = 2^i.  Extended to all of V the codeword is an RS[N, f] code
@@ -33,7 +33,6 @@ from the same helper.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,50 +49,25 @@ class InsufficientSymbolsError(ValueError):
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """Shape of one coded file: (n, f) evaluation code over GF(2^field_width)."""
+    """Shape of one coded file: (n, f) evaluation code over GF(2^16)."""
 
     f: int
     n: int
-    field_width: int = 16
 
     def __post_init__(self) -> None:
-        if self.field_width not in (8, 16):
-            raise ValueError(f"field_width must be 8 or 16, got {self.field_width}")
-        limit = (1 << self.field_width) - 1
-        if not 1 <= self.f <= self.n <= limit:
-            raise ValueError(
-                f"need 1 <= f <= n <= {limit} for GF(2^{self.field_width}), got f={self.f}, n={self.n}"
-            )
+        if not 1 <= self.f <= self.n <= (1 << 16) - 1:
+            raise ValueError(f"need 1 <= f <= n <= 65535 for GF(2^16), got f={self.f}, n={self.n}")
 
     @staticmethod
-    def from_expansion(f: int, r: Fraction | int, field_width: int = 16) -> "CodecConfig":
+    def from_expansion(f: int, r: Fraction | int) -> "CodecConfig":
         n = Fraction(r) * f
         if n.denominator != 1:
             raise ValueError(f"expansion factor {r} does not give an integer codeword length at f={f}")
-        return CodecConfig(f=f, n=int(n), field_width=field_width)
+        return CodecConfig(f=f, n=int(n))
 
     @property
     def gf(self) -> GF2:
-        return field(self.field_width)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "f": self.f,
-                "n": self.n,
-                "field_width": self.field_width,
-                "generator": {"family": "systematic-evaluation", "points": "0..n-1"},
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "CodecConfig":
-        obj = json.loads(text)
-        gen = obj.get("generator", {})
-        if gen.get("family") not in (None, "systematic-evaluation"):
-            raise ValueError(f"unknown generator family {gen.get('family')!r}")
-        return CodecConfig(f=obj["f"], n=obj["n"], field_width=obj["field_width"])
+        return field(16)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -102,11 +76,11 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 class _Transform(NamedTuple):
-    """Per-(field width, log N) constants of the transforms, logs as in ``GF2.log``."""
+    """Per-log N constants of the transforms, logs as in ``GF2.log``."""
 
     skews: tuple[np.ndarray, ...]  # level i: log U_i(o) per block offset o, a column
     slopes: tuple[int, ...]  # level l: log c_l, the derivative of U_l
-    log_hat: np.ndarray  # Walsh-Hadamard transform of gf.log[:N] with log 0 = 0, mod 2^width - 1
+    log_hat: np.ndarray  # Walsh-Hadamard transform of gf.log[:N] with log 0 = 0, mod 2^16 - 1
 
 
 def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
@@ -123,9 +97,9 @@ def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _transform(width: int, levels: int) -> _Transform:
-    """The transform constants over {0..2^levels - 1} in GF(2^width), built once."""
-    gf = field(width)
+def _transform(levels: int) -> _Transform:
+    """The transform constants over {0..2^levels - 1} in GF(2^16), built once."""
+    gf = field(16)
     log = gf.log
     # w[j] = W_i(2^j) for the current level i, from W_{i+1}(x) = W_i(x) (W_i(x) ^ W_i(2^i))
     w = [1 << j for j in range(levels)]
@@ -147,31 +121,31 @@ def _transform(width: int, levels: int) -> _Transform:
     return _Transform(tuple(skews), tuple(slopes), _readonly(log_hat))
 
 
-def _log_sums(width: int, levels: int, members: np.ndarray) -> np.ndarray:
-    """sum_{s in members} log(x ^ s) mod 2^width - 1 for every x in {0..2^levels - 1}.
+def _log_sums(levels: int, members: np.ndarray) -> np.ndarray:
+    """sum_{s in members} log(x ^ s) mod 2^16 - 1 for every x in {0..2^levels - 1}.
 
     ``members`` is a 0/1 int64 indicator over that set.  log 0 = 0, so a
     member's own term drops out of its sum.  The sum is the XOR convolution of
     the indicator with the log table; every product and transform stays below
-    2^33 because both are reduced mod 2^width - 1, and dividing by 2^levels is
-    multiplying by 2^(width - levels), its inverse mod the odd 2^width - 1.
+    2^33 because both are reduced mod 2^16 - 1, and dividing by 2^levels is
+    multiplying by 2^(16 - levels), its inverse mod the odd 2^16 - 1.
     """
-    q1 = (1 << width) - 1
-    spectrum = _walsh_hadamard(members.copy()) * _transform(width, levels).log_hat % q1
-    return _walsh_hadamard(spectrum) % q1 * (1 << (width - levels)) % q1
+    q1 = (1 << 16) - 1
+    spectrum = _walsh_hadamard(members.copy()) * _transform(levels).log_hat % q1
+    return _walsh_hadamard(spectrum) % q1 * (1 << (16 - levels)) % q1
 
 
-def _erasure_decode(width: int, levels: int, known: np.ndarray, values: np.ndarray,
+def _erasure_decode(levels: int, known: np.ndarray, values: np.ndarray,
                     wanted: np.ndarray) -> np.ndarray:
     """Values at the erased points ``wanted`` of the polynomial of degree < len(known)
     through (known, values), all points in {0..2^levels - 1}."""
-    gf = field(width)
+    gf = field(16)
     q1 = gf.order - 1
     log, exp = gf.log, gf.exp
-    skews, slopes, _ = _transform(width, levels)
+    skews, slopes, _ = _transform(levels)
     erased = np.ones(1 << levels, dtype=np.int64)
     erased[known] = 0
-    ell = _log_sums(width, levels, erased)  # log l on the known points, log l' on the erased
+    ell = _log_sums(levels, erased)  # log l on the known points, log l' on the erased
     q = np.zeros(1 << levels, dtype=np.int32)
     q[known] = exp[log[values] + ell[known]]
     for i in range(levels):  # IFFT: values of Q = P * l on V -> coefficients
@@ -205,8 +179,7 @@ def mds_encode(message, config: CodecConfig) -> np.ndarray:
     out = np.zeros(config.n, dtype=np.int64)
     out[: config.f] = msg
     if config.n > config.f:
-        out[config.f:] = _erasure_decode(config.field_width, _levels(config),
-                                         np.arange(config.f), msg,
+        out[config.f:] = _erasure_decode(_levels(config), np.arange(config.f), msg,
                                          np.arange(config.f, config.n))
     return out
 
@@ -243,8 +216,7 @@ def mds_decode(points, config: CodecConfig) -> np.ndarray:
     message[have] = values[: len(have)]
     if len(have) < config.f:
         missing = np.setdiff1d(np.arange(config.f), have, assume_unique=True)
-        message[missing] = _erasure_decode(config.field_width, _levels(config),
-                                           known, values, missing)
+        message[missing] = _erasure_decode(_levels(config), known, values, missing)
     return message
 
 
@@ -263,7 +235,7 @@ def generator_matrix(config: CodecConfig) -> np.ndarray:
     nodes = np.zeros(1 << levels, dtype=np.int64)
     nodes[: config.f] = 1
     # log ell(t) at the targets and log 1 / w_i at the nodes
-    sums = _log_sums(config.field_width, levels, nodes)
+    sums = _log_sums(levels, nodes)
     targets = np.arange(config.f, config.n)
     d_log = gf.log[targets[:, None] ^ np.arange(config.f)[None, :]]
     mat[config.f:] = gf.exp[(sums[targets, None] - sums[None, : config.f] - d_log) % q1]

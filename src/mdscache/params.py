@@ -92,18 +92,6 @@ class SystemParams:
             sort_keys=True,
         )
 
-    @staticmethod
-    def from_json(text: str) -> "SystemParams":
-        obj = json.loads(text)
-        return SystemParams(
-            n_files=obj["n_files"],
-            k_prime=obj["k_prime"],
-            k=obj["k"],
-            m=as_fraction(obj["m"]),
-            r=as_fraction(obj["r"]),
-            f=obj["f"],
-        )
-
 
 def suggest_feasible_f(n_files: int, m: Fraction, r: Fraction, f: int) -> int:
     """Smallest f' >= f making both m*f'/n_files and r*f' integers."""
@@ -251,18 +239,9 @@ class CacheContents:
         self.n_files = n_files
         self.coded_len = coded_len
         self._indices = indices
-        self._masks: dict[tuple[int, int], np.ndarray] = {}
 
     def indices(self, user: int, file: int) -> np.ndarray:
         return self._indices[(user, file)]
-
-    def mask(self, user: int, file: int) -> np.ndarray:
-        key = (user, file)
-        if key not in self._masks:
-            m = np.zeros(self.coded_len, dtype=bool)
-            m[self._indices[key]] = True
-            self._masks[key] = m
-        return self._masks[key]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CacheContents):
@@ -275,35 +254,6 @@ class CacheContents:
             for n in range(self.n_files)
         )
 
-    def to_json(self) -> str:
-        users = []
-        for u in range(self.n_users):
-            per_file = []
-            for n in range(self.n_files):
-                idx = self._indices[(u, n)]
-                deltas = np.diff(idx, prepend=0).tolist() if idx.size else []
-                per_file.append(deltas)
-            users.append(per_file)
-        return json.dumps(
-            {"coded_len": self.coded_len, "n_files": self.n_files, "users": users},
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "CacheContents":
-        obj = json.loads(text)
-        users = obj["users"]
-        indices = {}
-        for u, per_file in enumerate(users):
-            for n, deltas in enumerate(per_file):
-                indices[(u, n)] = np.cumsum(np.asarray(deltas, dtype=np.int64)) if deltas else np.zeros(0, dtype=np.int64)
-        return CacheContents(
-            n_users=len(users),
-            n_files=obj["n_files"],
-            coded_len=obj["coded_len"],
-            indices=indices,
-        )
-
 
 @dataclass
 class SubfilePartition:
@@ -314,8 +264,6 @@ class SubfilePartition:
     ascending.
     """
 
-    file: int
-    coded_len: int
     order: np.ndarray   # coded indices grouped by block, ascending within each block
     masks: np.ndarray   # int64
     starts: np.ndarray  # len(masks) + 1 offsets into order
@@ -338,13 +286,3 @@ class SubfilePartition:
         bounds = self.starts.tolist()
         return {mask: self.order[a:b]
                 for mask, a, b in zip(self.masks.tolist(), bounds, bounds[1:])}
-
-    def check(self) -> None:
-        total = int(self.starts[-1])
-        if total != self.coded_len or self.order.size != total:
-            raise AssertionError(f"partition covers {total} of {self.coded_len} indices")
-        seen = np.zeros(self.coded_len, dtype=bool)
-        for b in self.blocks.values():
-            if seen[b].any():
-                raise AssertionError("partition blocks overlap")
-            seen[b] = True

@@ -100,13 +100,12 @@ def partition_subfiles(cache: CacheContents, active, file: int,
     sorted_keys = keys[order]
     firsts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
     order.flags.writeable = False
-    return SubfilePartition(file=file, coded_len=n, order=order, masks=sorted_keys[firsts],
-                            starts=np.append(firsts, n))
+    return SubfilePartition(order=order, masks=sorted_keys[firsts], starts=np.append(firsts, n))
 
 
-def expected_subfile_size(params: SystemParams, subset_size: int, k: int | None = None) -> Fraction:
+def expected_subfile_size(params: SystemParams, subset_size: int) -> Fraction:
     """Expected symbols cached by exactly a given size-t subset: r*f * q^t * (1-q)^(k-t)."""
-    k = params.k if k is None else k
+    k = params.k
     if not 0 <= subset_size <= k:
         raise ValueError(f"subset size {subset_size} outside [0, {k}]")
     q = params.q

@@ -214,12 +214,22 @@ def run_trials(params: SystemParams, demand: RequestVector | None = None,
                       reconstruct=reconstruct, master_seed=seed, trials=results)
 
 
+def check_tolerance(tolerance) -> float:
+    """The relative rate tolerance as a float; ValueError unless it is a number >= 0."""
+    try:
+        value = float(tolerance)
+    except ValueError:
+        raise ValueError(f"tolerance must be a number >= 0, got {tolerance!r}") from None
+    if not value >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    return value
+
+
 def compare_to_theory(stats: TrialStats, tolerance: float,
                       worst_case: bool = False) -> dict:
     """Check mean empirical rate against the closed form at the demand's
     distinct-file count (or the worst case), plus full decode success."""
-    if not tolerance >= 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    tolerance = check_tolerance(tolerance)
     p = stats.params
     n_distinct = None if worst_case else stats.n_distinct
     theory = rate_mds_dec(p.n_files, p.m, p.k, p.r, n_distinct=n_distinct)

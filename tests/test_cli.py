@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from mdscache import cli
 from mdscache.cli import build_parser, dec_str, main
 from mdscache.delivery import require_enumerable
 from mdscache.params import ParamError, RequestVector, SystemParams
@@ -145,6 +146,7 @@ def test_simulate_report_and_log(tmp_path, capsys):
     assert code == 0
     assert "PASS" in err
     obj = json.loads(report.read_text())
+    assert obj["params"] == {"n_files": 2, "k_prime": 3, "k": 3, "m": "1", "r": "2", "f": 1000}
     assert obj["comparison"]["passed"] is True
     assert obj["settings"]["trials"] == 4
     assert obj["aggregate"]["success_fraction"] == 1.0
@@ -177,7 +179,7 @@ def test_simulate_different_seed_differs(tmp_path, capsys):
     assert logs[0] != logs[1]
 
 
-def test_simulate_infeasible_f_suggests(capsys):
+def test_simulate_infeasible_f_suggests(capsys, monkeypatch):
     code, _, err = run(capsys, "simulate", "--n", "2", "--m", "1", "--k", "3",
                        "--r", "3/2", "--f", "1001")
     assert code == 2
@@ -190,6 +192,14 @@ def test_simulate_infeasible_f_suggests(capsys):
         code, _, err = run(capsys, *base, flag, value)
         assert code == 2
         assert f"{needle} must be >= " in err
+    # a bad tolerance is caught before any trial runs
+    calls = []
+    monkeypatch.setattr(cli, "run_trials", lambda *a, **kw: calls.append(a))
+    for value in ("-0.1", "abc"):
+        code, _, err = run(capsys, *base, "--tolerance", value)
+        assert code == 2
+        assert "tolerance must be" in err
+    assert calls == []
 
 
 def test_simulate_tolerance_zero_fails_with_explanation(capsys):

@@ -64,7 +64,7 @@ def test_field_axioms_on_seeded_samples(width):
         assert gf.mul(a, 0) == 0
         if a:
             assert gf.mul(a, gf.inv(a)) == 1
-            assert gf.div(gf.mul(a, b), a) == b
+            assert gf.mul(gf.mul(a, b), gf.inv(a)) == b
 
 
 @pytest.mark.parametrize("width", [8, 16])
@@ -89,8 +89,6 @@ def test_zero_has_no_inverse():
     gf = field(16)
     with pytest.raises(ZeroDivisionError):
         gf.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        gf.div(5, 0)
 
 
 @pytest.mark.parametrize("width", [8, 16])

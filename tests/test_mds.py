@@ -1,7 +1,6 @@
 """Codec behavior: any f of n symbols reconstruct the data, none fewer."""
 import hashlib
 import itertools
-import json
 import random
 
 import numpy as np
@@ -25,7 +24,7 @@ def naive_eval(gf, xs, ys, t):
                 continue
             num = gf.mul(num, t ^ xj)
             den = gf.mul(den, xi ^ xj)
-        total ^= gf.mul(ys[i], gf.div(num, den))
+        total ^= gf.mul(ys[i], gf.mul(num, gf.inv(den)))
     return total
 
 
@@ -42,12 +41,10 @@ def test_encode_matches_naive_lagrange():
 
 
 def test_frozen_golden_codeword():
-    # computed once with the naive oracle; same in both field widths because
-    # every intermediate product stays below the reduction threshold
+    # computed once with the naive oracle
     data = np.array([1, 2, 3, 4], dtype=np.int64)
     want = [1, 2, 3, 4, 69, 94, 103, 120]
     assert mds_encode(data, CodecConfig(4, 8)).tolist() == want
-    assert mds_encode(data, CodecConfig(4, 8, field_width=8)).tolist() == want
 
 
 def test_every_4_of_8_subset_decodes():
@@ -122,17 +119,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CodecConfig(10, 5)  # n < f
     with pytest.raises(ValueError):
-        CodecConfig(8, 300, field_width=8)  # more nodes than field elements
-    with pytest.raises(ValueError):
-        CodecConfig(4, 8, field_width=12)
-
-
-def test_config_json_roundtrip():
-    config = CodecConfig(16, 40, field_width=16)
-    text = config.to_json()
-    obj = json.loads(text)
-    assert obj["generator"]["family"] == "systematic-evaluation"
-    assert CodecConfig.from_json(text) == config
+        CodecConfig(4, 65536)  # more nodes than nonzero field elements
 
 
 def test_generator_matrix_agrees_with_encode():
@@ -172,23 +159,23 @@ def test_parity_only_decode():
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(width=st.sampled_from([8, 16]), f=st.integers(1, 24), extra=st.integers(0, 24),
+@given(f=st.integers(1, 24), extra=st.integers(0, 24),
        zero_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
        seed=st.integers(0, 2**32 - 1))
-@example(width=16, f=1, extra=0, zero_share=0.0, seed=0)  # f = 1, r = 1
-@example(width=8, f=1, extra=7, zero_share=0.0, seed=1)
-@example(width=16, f=9, extra=0, zero_share=0.5, seed=2)  # r = 1
-@example(width=8, f=24, extra=24, zero_share=0.9, seed=3)
-@example(width=16, f=23, extra=17, zero_share=0.9, seed=4)
-@example(width=16, f=5, extra=11, zero_share=0.0, seed=5)  # n = 16 = 2^4: N = n
-@example(width=8, f=12, extra=5, zero_share=0.5, seed=6)  # n = 17 = 2^4 + 1: N = 32
-@example(width=16, f=1, extra=1, zero_share=0.0, seed=7)  # n = 2: one level
-@example(width=8, f=2, extra=1, zero_share=0.0, seed=8)  # n = 3 = 2^1 + 1
-@example(width=16, f=20, extra=12, zero_share=0.9, seed=9)  # n = 32 = 2^5
-@example(width=16, f=24, extra=9, zero_share=0.0, seed=10)  # n = 33 = 2^5 + 1
-def test_fft_codec_matches_lagrange_and_roundtrips(width, f, extra, zero_share, seed):
+@example(f=1, extra=0, zero_share=0.0, seed=0)  # f = 1, r = 1
+@example(f=1, extra=7, zero_share=0.0, seed=1)
+@example(f=9, extra=0, zero_share=0.5, seed=2)  # r = 1
+@example(f=24, extra=24, zero_share=0.9, seed=3)
+@example(f=23, extra=17, zero_share=0.9, seed=4)
+@example(f=5, extra=11, zero_share=0.0, seed=5)  # n = 16 = 2^4: N = n
+@example(f=12, extra=5, zero_share=0.5, seed=6)  # n = 17 = 2^4 + 1: N = 32
+@example(f=1, extra=1, zero_share=0.0, seed=7)  # n = 2: one level
+@example(f=2, extra=1, zero_share=0.0, seed=8)  # n = 3 = 2^1 + 1
+@example(f=20, extra=12, zero_share=0.9, seed=9)  # n = 32 = 2^5
+@example(f=24, extra=9, zero_share=0.0, seed=10)  # n = 33 = 2^5 + 1
+def test_fft_codec_matches_lagrange_and_roundtrips(f, extra, zero_share, seed):
     # the transform size N = 2^ceil(log2 n) changes between n = 2^j and 2^j + 1
-    config = CodecConfig(f, f + extra, field_width=width)
+    config = CodecConfig(f, f + extra)
     gf = config.gf
     rng = np.random.default_rng(seed)
     data = rng.integers(0, gf.order, size=f).astype(np.int64)
@@ -244,10 +231,13 @@ def test_decode_accepts_pair_arrays_and_reports_faults_in_input_order():
         mds_decode([], config)
 
 
-@pytest.mark.parametrize("f,n,width", [(1, 1, 16), (1, 4, 8), (6, 10, 16), (37, 100, 16),
-                                       (128, 256, 16), (200, 255, 8)])
-def test_generator_matrix_columns_are_unit_encodes(f, n, width):
-    config = CodecConfig(f, n, field_width=width)
+GENERATOR_SHAPES = [(1, 1), (1, 4), (6, 10), (37, 100), (128, 256)]
+
+
+# the ids end in the field width, 16 for every codec
+@pytest.mark.parametrize("f,n", GENERATOR_SHAPES, ids=[f"{f}-{n}-16" for f, n in GENERATOR_SHAPES])
+def test_generator_matrix_columns_are_unit_encodes(f, n):
+    config = CodecConfig(f, n)
     gen = generator_matrix(config)
     units = np.eye(f, dtype=np.int64)
     want = np.stack([mds_encode(units[j], config) for j in range(f)], axis=1)

@@ -1,4 +1,4 @@
-"""Parameter validation, request vectors, subset masks, serialization."""
+"""Parameter validation, request vectors, subset masks, cache containers."""
 from fractions import Fraction
 from math import comb
 
@@ -86,11 +86,6 @@ def test_suggest_feasible_f():
         assert validate(p) == []
 
 
-def test_params_json_roundtrip():
-    p = make(m="3/2", r="5/2", f=80)
-    assert SystemParams.from_json(p.to_json()) == p
-
-
 def test_coded_len_raises_when_infeasible():
     p = make(r="3/2", f=5)
     with pytest.raises(ParamError):
@@ -140,48 +135,26 @@ def test_subset_masks_at_k16():
     assert not tables[3].flags.writeable
 
 
-def test_cache_contents_equality_and_json():
+def test_cache_contents_equality():
     idx = {(0, 0): np.array([1, 5, 9], dtype=np.int64),
            (0, 1): np.array([0, 2], dtype=np.int64)}
     c1 = CacheContents(1, 2, 12, idx)
-    c2 = CacheContents.from_json(c1.to_json())
-    assert c1 == c2
+    assert c1 == CacheContents(1, 2, 12, {k: v.copy() for k, v in idx.items()})
     idx2 = {k: v.copy() for k, v in idx.items()}
     idx2[(0, 0)] = np.array([1, 5, 10], dtype=np.int64)
     assert c1 != CacheContents(1, 2, 12, idx2)
 
 
-def test_cache_mask_matches_indices():
-    idx = {(0, 0): np.array([3, 7], dtype=np.int64)}
-    c = CacheContents(1, 1, 8, idx)
-    mask = c.mask(0, 0)
-    assert mask.dtype == bool and mask.sum() == 2
-    assert np.array_equal(np.flatnonzero(mask), [3, 7])
-
-
-def partition_of(coded_len, blocks) -> SubfilePartition:
+def partition_of(blocks) -> SubfilePartition:
     masks = sorted(blocks)
     sizes = [len(blocks[m]) for m in masks]
-    return SubfilePartition(file=0, coded_len=coded_len,
-                            order=np.array([i for m in masks for i in blocks[m]], dtype=np.int64),
+    return SubfilePartition(order=np.array([i for m in masks for i in blocks[m]], dtype=np.int64),
                             masks=np.array(masks, dtype=np.int64),
                             starts=np.cumsum([0] + sizes))
 
 
-def test_partition_check_catches_overlap_and_gap():
-    good = partition_of(4, {0: [0, 1], 1: [2, 3]})
-    good.check()
-    assert good.block(1).tolist() == [2, 3]
-    overlap = partition_of(4, {0: [0, 1], 1: [1, 2, 3]})
-    with pytest.raises(AssertionError):
-        overlap.check()
-    gap = partition_of(4, {0: [0, 1], 1: [3]})
-    with pytest.raises(AssertionError):
-        gap.check()
-
-
 def test_partition_block_default_empty():
-    part = partition_of(4, {})
+    part = partition_of({})
     assert len(part.block(0b11)) == 0
-    part = partition_of(4, {0b01: [0, 2], 0b10: [1, 3]})
+    part = partition_of({0b01: [0, 2], 0b10: [1, 3]})
     assert len(part.block(0b11)) == 0 and len(part.block(0)) == 0

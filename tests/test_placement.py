@@ -115,7 +115,7 @@ def test_inclusion_probability_matches_q():
     hits = 0
     for t in range(trials):
         cache = prefetch(p, derive_seed(8, t))
-        hits += bool(cache.mask(0, 0)[17])
+        hits += 17 in cache.indices(0, 0)
     q = float(p.q)
     se = (trials * q * (1 - q)) ** 0.5
     assert abs(hits - trials * q) < 4 * se
@@ -126,9 +126,9 @@ def test_partition_disjoint_cover_random_placements():
     for t in range(100):
         cache = prefetch(p, derive_seed(13, t))
         part = partition_subfiles(cache, range(p.k), 0, p)
-        part.check()
-        total = sum(len(b) for b in part.blocks.values())
-        assert total == p.coded_len
+        blocks = list(part.blocks.values())
+        # every coded index lies in exactly one block
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(p.coded_len))
 
 
 @pytest.mark.parametrize("active", [range(5), [1, 3, 4]])
@@ -158,7 +158,7 @@ def test_partition_blocks_match_masks():
     part = partition_subfiles(cache, range(3), 1, p)
     for mask, block in part.blocks.items():
         for u in range(3):
-            cached = cache.mask(u, 1)[block]
+            cached = np.isin(block, cache.indices(u, 1))
             if mask >> u & 1:
                 assert cached.all()
             else:
@@ -171,8 +171,8 @@ def test_partition_respects_active_subset():
     cache = prefetch(p, 5)
     part = partition_subfiles(cache, [1, 3], 0, p)
     exclusive = part.block(0b01)  # cached by user 1, not by user 3
-    assert cache.mask(1, 0)[exclusive].all()
-    assert not cache.mask(3, 0)[exclusive].any()
+    assert np.isin(exclusive, cache.indices(1, 0)).all()
+    assert not np.isin(exclusive, cache.indices(3, 0)).any()
 
 
 def test_expected_subfile_size_table():
