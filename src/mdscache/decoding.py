@@ -8,7 +8,10 @@ Two fidelities are implemented:
   transmitted ones, then add the user's own top-up and reconstruct the file
   from >= f known coded symbols; ``deliver`` runs this same pass
 * exact: decide recoverability of the requested file by rank analysis of the
-  user's linear observations over the symbol field (small f only)
+  user's linear observations over the symbol field (small f only).  Each file
+  is written in the coordinates of f of its coded symbols, the cached ones
+  first, so cached symbols drop out and only the received symbols over the
+  uncached coordinates are row reduced
 
 A broadcast is one columnar ``Broadcast`` record.  Per message it holds the
 subset size j, the receiver subset mask, the length, the kind and the number
@@ -18,8 +21,7 @@ caching the block, the number of covered indices and the block length before
 truncation, and all covered indices concatenated.  Delivery, skipped-message
 synthesis, the index and the receiver pass read these arrays; an accounting
 trial builds no per-message or per-component Python object.  Iterating a
-record yields ``BroadcastMessage`` views, for the exact decode, failure
-reports and tests.
+record yields ``BroadcastMessage`` views, for failure reports and tests.
 
 The stripping pass is event driven over a ``BroadcastIndex`` built once per
 broadcast.  A message yields when all but one of its components are known.
@@ -600,37 +602,14 @@ def _failure_text(know, schedule, user, file0, deficit) -> str:
 
 
 def _decode_exact(params, user, cache_view, schedule, codec) -> DecodeResult:
-    """Rank criterion: target symbols are determined iff appending the target
-    columns to the observation matrix raises its pivot count by exactly f."""
+    """Rank criterion: the requested file is determined iff appending its
+    columns to the observations of the other files raises the rank by f.
+    That rise is p_target = |S_target| + (pivots right of the split) of the
+    cache-coordinate system, S_target the user's cached indices of the
+    file; see ``_exact_ranks``."""
     file0 = schedule.demand.zero_based[user]
     f = params.f
-    n_files = params.n_files
-    gen = generator_matrix(codec)
-    # column blocks: all other files first, the requested file last
-    order = [nf for nf in range(n_files) if nf != file0] + [file0]
-    offset = {nf: i * f for i, nf in enumerate(order)}
-    split = (n_files - 1) * f
-    rows: list[np.ndarray] = []
-
-    def add_rows(block_rows: np.ndarray, file: int) -> None:
-        chunk = np.zeros((block_rows.shape[0], n_files * f), dtype=np.int64)
-        chunk[:, offset[file]: offset[file] + f] = block_rows
-        rows.append(chunk)
-
-    for nf, (indices, _) in cache_view.items():
-        if len(indices):
-            add_rows(gen[indices], nf)
-    for msg in list(schedule.messages) + list(schedule.topups):
-        if msg.length == 0:
-            continue
-        chunk = np.zeros((msg.length, n_files * f), dtype=np.int64)
-        for c in msg.components:
-            lc = len(c.indices)
-            if lc:
-                chunk[:lc, offset[c.file]: offset[c.file] + f] ^= gen[c.indices]
-        rows.append(chunk)
-    mat = np.concatenate(rows, axis=0)
-    p_other, p_target = _pivot_counts(codec.gf, mat, split)
+    _, p_target = _exact_ranks(params, user, cache_view, schedule, codec)
     success = p_target == f
     deficit = f - p_target
     failure = None if success else (
@@ -639,30 +618,73 @@ def _decode_exact(params, user, cache_view, schedule, codec) -> DecodeResult:
     return DecodeResult(success, p_target, deficit, None, failure)
 
 
+def _exact_ranks(params, user, cache_view, schedule, codec) -> tuple[int, int]:
+    """(p_other, p_target): the rank of the user's observations restricted to
+    the other files, and how much the requested file's coordinates add to it.
+
+    Each file is written in the coordinates of f of its coded symbols B: the
+    user's cached indices S, then the lowest f - |S| uncached ones.  Any f
+    coded symbols determine a file (MDS), so this change of basis is
+    invertible and block diagonal over the files, and ranks do not move.  In
+    it a cached symbol is a unit row on its own coordinate; removing those
+    rows and their columns (a Schur complement with the identity) leaves each
+    message and top-up symbol over the free coordinates B - S, and the rank
+    drops by exactly the |S| removed rows.  So p = |S| + the pivots of the
+    free system, file block by file block: the other files' columns first,
+    the requested file's last.
+    """
+    file0 = schedule.demand.zero_based[user]
+    b = schedule.messages + schedule.topups
+    # per covered symbol: its observation (a payload position), file and coded index
+    cov = np.minimum(b.covered, np.repeat(b.length, b.size))
+    obs = _ranges(np.repeat(b.pay_start, b.size), cov)
+    sym_file = np.repeat(b.file, cov)
+    sym_index = b.cat[_ranges(b.comp_off, cov)]
+    # observations no component reaches are zero rows: leave them out
+    live, obs = np.unique(obs, return_inverse=True)
+    order = [nf for nf in range(params.n_files) if nf != file0] + [file0]
+    cached = [cache_view[nf][0] if nf in cache_view else np.zeros(0, dtype=np.int64)
+              for nf in order]
+    n_free = [params.f - len(s) for s in cached]
+    # transposed: row c is column c of the system, so each column is contiguous
+    mat = np.zeros((sum(n_free), live.size), dtype=np.uint16)
+    col = 0
+    for nf, s, width in zip(order, cached, n_free):
+        uncached = np.ones(codec.n, dtype=bool)
+        uncached[s] = False
+        basis = np.concatenate([s, np.flatnonzero(uncached)[:width]])
+        on = sym_file == nf
+        rows = generator_matrix(codec, basis)[sym_index[on], len(s):].astype(np.uint16)
+        np.bitwise_xor.at(mat[col: col + width].T, obs[on], rows)
+        col += width
+    p_left, p_right = _pivot_counts(codec.gf, mat, sum(n_free[:-1]))
+    return sum(len(s) for s in cached[:-1]) + p_left, len(cached[-1]) + p_right
+
+
 def _pivot_counts(gf, mat: np.ndarray, split: int) -> tuple[int, int]:
-    """Row reduce left to right; pivots left of `split` also give the rank of
-    the matrix with the right-hand columns deleted (they sit below the split
-    pivots in echelon order)."""
-    n_rows, n_cols = mat.shape
-    used = np.zeros(n_rows, dtype=bool)
-    p_left = p_right = 0
+    """Pivots left and right of column `split` by forward elimination.
+
+    `mat` is the system transposed: mat[c] is column c, mat[:, j] observation
+    j.  Columns are eliminated in order, so the pivots left of the split are
+    also the rank of the left columns alone.  An observation that takes a
+    pivot moves to the front of the active block mat[:, start:] and leaves
+    it; nothing is scaled or substituted back, and column c is not read again
+    once it is done.
+    """
+    n_cols, n_obs = mat.shape
+    start = p_left = p_right = 0
     for col in range(n_cols):
-        colvals = mat[:, col]
-        cand = np.flatnonzero((colvals != 0) & ~used)
+        if start == n_obs:
+            break
+        cand = np.flatnonzero(mat[col, start:])
         if cand.size == 0:
             continue
-        pr = int(cand[0])
-        used[pr] = True
-        inv = gf.inv(int(mat[pr, col]))
-        mat[pr] = gf.mul_vec(mat[pr], np.int64(inv))
-        others = np.flatnonzero(mat[:, col] != 0)
-        others = others[others != pr]
-        if others.size:
-            # the factors are nonzero, and a zero of the pivot row changes
-            # nothing, so only its nonzero columns are multiplied out
-            nz = np.flatnonzero(mat[pr])
-            logs = gf.log[mat[others, col]][:, None] + gf.log[mat[pr, nz]]
-            mat[np.ix_(others, nz)] ^= gf.exp[logs]
+        pr = start + int(cand[0])
+        if pr != start:
+            mat[col:, [start, pr]] = mat[col:, [pr, start]]
+        factors = gf.mul_vec(mat[col, start + 1:], gf.inv(int(mat[col, start])))
+        mat[col + 1:, start + 1:] ^= gf.mul_vec(mat[col + 1:, start, None], factors)
+        start += 1
         if col < split:
             p_left += 1
         else:

@@ -40,9 +40,11 @@ def pseudo_symbols(seed: int, count: int, width_mask: int = 0xFFFF) -> np.ndarra
 
 
 def require_exact_fits(params: SystemParams, demand: RequestVector) -> None:
-    """Raise ParamError when one exact decode's dense int64 observation matrix,
-    (m*f cached + planned delivery symbols) rows by n_files*f columns, would
-    exceed EXACT_MATRIX_BYTES.  Computes the size only; allocates nothing."""
+    """Raise ParamError when a dense int64 observation matrix, (m*f cached +
+    planned delivery symbols) rows by n_files*f columns, would exceed
+    EXACT_MATRIX_BYTES.  The exact decode builds a smaller uint16 system (the
+    delivery symbols by the uncached coordinates), so this size bounds it from
+    above.  Computes the size only; allocates nothing."""
     planned = plan_schedule(params, demand).total
     rows = params.n_files * params.cached_per_file + math.ceil(planned)
     size = 8 * params.n_files * params.f * rows

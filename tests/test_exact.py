@@ -1,0 +1,121 @@
+"""Exact-mode rank oracle: the cache-coordinate system against the dense reference."""
+import copy
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from exact_reference import gauss_jordan_pivots, reference_ranks
+from mdscache.decoding import (_decode_exact, _exact_ranks, _pivot_counts, decode_user,
+                               synthesize_skipped)
+from mdscache.delivery import deliver
+from mdscache.gf import field
+from mdscache.mds import CodecConfig, mds_encode
+from mdscache.params import RequestVector, SystemParams
+from mdscache.placement import derive_seed, prefetch
+from mdscache.simulate import pseudo_symbols, run_trials
+from test_simulate import small_feasible_points
+
+
+def delivered(params, demand, seed):
+    """(cache, coded files, schedule, codec) of one real-codec delivery."""
+    config = CodecConfig.from_expansion(params.f, params.r)
+    cache = prefetch(params, derive_seed(seed, 1))
+    coded = {nf: mds_encode(pseudo_symbols(derive_seed(seed, 2, nf), params.f), config)
+             for nf in range(params.n_files)}
+    return cache, coded, deliver(params, cache, demand, coded), config
+
+
+def view_of(cache, coded, user, n_files):
+    return {nf: (cache.indices(user, nf), coded[nf][cache.indices(user, nf)])
+            for nf in range(n_files)}
+
+
+def thinned(schedule, keep_messages, keep_topups):
+    """The schedule with only the kept messages and top-ups; the skipped
+    subsets are rebuilt from the kept messages alone."""
+    out = copy.copy(schedule)
+    out.messages = schedule.messages.take(np.flatnonzero(keep_messages))
+    out.topups = schedule.topups.take(np.flatnonzero(keep_topups))
+    out.virtuals, _ = synthesize_skipped(schedule.params.k, schedule.leaders_mask,
+                                         schedule.demand.zero_based, out.messages)
+    return out
+
+
+def assert_matches_reference(params, user, view, schedule, config):
+    p_other, p_target = reference_ranks(params, user, view, schedule, config)
+    assert _exact_ranks(params, user, view, schedule, config) == (p_other, p_target)
+    res = _decode_exact(params, user, view, schedule, config)
+    f = params.f
+    assert (res.success, res.known, res.deficit) == (p_target == f, p_target, f - p_target)
+
+
+def test_exact_ranks_equal_the_dense_reference():
+    deficient = []
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(point=small_feasible_points(), seed=st.integers(0, 2**32 - 1),
+           keep=st.sampled_from([1.0, 0.8, 0.5]))
+    def check(point, seed, keep):
+        params, demand = point
+        cache, coded, schedule, config = delivered(params, demand, seed)
+        rng = np.random.default_rng(seed)
+        part = thinned(schedule, rng.random(len(schedule.messages)) < keep,
+                       rng.random(len(schedule.topups)) < keep)
+        for user in range(params.k):
+            view = view_of(cache, coded, user, params.n_files)
+            ranks = _exact_ranks(params, user, view, part, config)
+            assert ranks == reference_ranks(params, user, view, part, config)
+            # the symbols the receiver pass recovers are in the span of what it observed
+            assert ranks[1] >= min(decode_user(params, user, view, part).known, params.f)
+            deficient.append(ranks[1] < params.f)
+
+    check()
+    # the oracle is checked both when it says yes and when it says no
+    assert any(deficient) and not all(deficient)
+
+
+@pytest.mark.parametrize("rows,cols,split", [(0, 5, 2), (6, 0, 0), (9, 12, 5),
+                                             (30, 20, 20), (20, 30, 0), (25, 25, 10)])
+def test_forward_elimination_counts_equal_gauss_jordan(rows, cols, split):
+    gf = field(16)
+    rng = np.random.default_rng(rows * 100 + cols)
+    for _ in range(10):
+        mat = rng.integers(0, gf.order, size=(rows, cols))
+        mat[rng.random((rows, cols)) < rng.random()] = 0
+        if rows >= 3:
+            # a zero row, a repeated row and a multiple of a row
+            mat[0] = 0
+            mat[1] = mat[2]
+            mat[rows - 1] = gf.mul_vec(mat[2], int(rng.integers(1, gf.order)))
+        want = gauss_jordan_pivots(gf, mat.copy(), split)
+        assert _pivot_counts(gf, mat.T.astype(np.uint16), split) == want
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_exact_mode_at_degenerate_caches(m):
+    # m = 0 caches nothing, so the basis is the systematic one; m = 2 = n_files
+    # caches everything, so no coordinate is free and nothing is sent
+    params = SystemParams(n_files=2, k_prime=3, k=3, m=Fraction(m), r=Fraction(2), f=8)
+    stats = run_trials(params, trials=3, seed=1, mode="exact", codec="real")
+    assert all(ok for t in stats.trials for ok in t.exact_successes)
+    cache, coded, schedule, config = delivered(params, RequestVector.worst_case(params), 5)
+    assert (schedule.total_symbols == 0) == (m == 2)
+    for user in range(params.k):
+        assert_matches_reference(params, user, view_of(cache, coded, user, params.n_files),
+                                 schedule, config)
+
+
+@pytest.mark.parametrize("m,f", [(0, 8), (1, 64)])
+def test_exact_decode_of_an_empty_broadcast_matches_the_reference(m, f):
+    params = SystemParams(n_files=2, k_prime=3, k=3, m=Fraction(m), r=Fraction(2), f=f)
+    cache, coded, schedule, config = delivered(params, RequestVector((1, 2, 1)), 7)
+    empty = copy.copy(schedule)
+    empty.messages = schedule.messages.take([])
+    empty.topups = schedule.topups.take([])
+    for user in range(params.k):
+        view = view_of(cache, coded, user, params.n_files)
+        assert_matches_reference(params, user, view, empty, config)
+        assert not _decode_exact(params, user, view, empty, config).success

@@ -244,6 +244,32 @@ def test_generator_matrix_columns_are_unit_encodes(f, n):
     assert gen.dtype == want.dtype and np.array_equal(gen, want)
 
 
+BASIS_SHAPES = [(1, 1), (6, 10), (37, 100), (128, 256)]
+
+
+@pytest.mark.parametrize("f,n", BASIS_SHAPES, ids=[f"{f}-{n}" for f, n in BASIS_SHAPES])
+def test_generator_matrix_in_a_random_basis(f, n):
+    config = CodecConfig(f, n)
+    gf = config.gf
+    rng = np.random.default_rng(f * 1000 + n)
+    assert np.array_equal(generator_matrix(config, np.arange(f)), generator_matrix(config))
+    for _ in range(3):
+        basis = rng.permutation(n)[:f]
+        gen = generator_matrix(config, basis)
+        assert gen.shape == (n, f) and gen.dtype == np.int64
+        assert np.array_equal(gen[basis], np.eye(f, dtype=np.int64))  # unit rows, basis order
+        coded = mds_encode(rng.integers(0, gf.order, size=f), config)
+        # G_B . coded[B] over GF(2^16) is the whole codeword
+        terms = gf.mul_vec(gen, coded[basis][None, :]).astype(np.int64)
+        assert np.array_equal(np.bitwise_xor.reduce(terms, axis=1), coded)
+
+
+@pytest.mark.parametrize("basis", [[0], [0, 1, 1], [0, 1, 10], [-1, 1, 2]])
+def test_generator_matrix_rejects_a_bad_basis(basis):
+    with pytest.raises(ValueError, match="basis must be 3 distinct coded indices"):
+        generator_matrix(CodecConfig(3, 10), basis)
+
+
 def test_parity_pinned_at_benchmark_size():
     # recorded with the per-target interpolation loop that preceded the transform codec
     coded = mds_encode(pseudo_symbols(1, 4096, 65535), CodecConfig(4096, 8192))
