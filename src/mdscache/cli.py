@@ -53,7 +53,11 @@ def _merged(args: argparse.Namespace, required: tuple[str, ...]) -> dict:
     merged: dict = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            merged.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ParamError(f"config file {args.config} must hold a JSON object of flag "
+                             f"values, not a {type(loaded).__name__}")
+        merged.update(loaded)
         flags = [key for key in vars(args) if key not in ("command", "fn", "config")]
         for key in merged:
             if key not in flags:
@@ -132,7 +136,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _build_params(opt: dict) -> SystemParams:
     k = int(opt["k"])
-    k_prime = int(opt.get("k_prime") or k)
+    k_prime = int(k if opt.get("k_prime") is None else opt["k_prime"])
     params = SystemParams(n_files=int(opt["n"]), k_prime=k_prime, k=k,
                           m=as_fraction(opt["m"]), r=as_fraction(opt["r"]),
                           f=int(opt["f"]))

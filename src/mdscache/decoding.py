@@ -2,11 +2,12 @@
 
 Two fidelities are implemented:
 
-* accounting: add the earlier users' top-ups, strip XOR components whose
-  symbols are already known until a fixpoint over the transmitted messages
-  and the skipped subset messages the schedule rebuilt as XOR combinations of
-  transmitted ones, then add the user's own top-up and reconstruct the file
-  from >= f known coded symbols; ``deliver`` runs this same pass
+* accounting: strip XOR components whose symbols are already known until a
+  fixpoint, first over the earlier users' top-ups, then over the transmitted
+  messages and the skipped subset messages the schedule rebuilt as XOR
+  combinations of transmitted ones, then over the user's own top-up, and
+  reconstruct the file from >= f known coded symbols; ``deliver`` runs this
+  same pass
 * exact: decide recoverability of the requested file by rank analysis of the
   user's linear observations over the symbol field (small f only).  Each file
   is written in the coordinates of f of its coded symbols, the cached ones
@@ -21,10 +22,12 @@ caching the block, the number of covered indices and the block length before
 truncation, and all covered indices concatenated.  Delivery, skipped-message
 synthesis, the index and the receiver pass read these arrays; an accounting
 trial builds no per-message or per-component Python object.  Iterating a
-record yields ``BroadcastMessage`` views, for failure reports and tests.
+record yields ``BroadcastMessage`` views; no program path iterates one.
 
 The stripping pass is event driven over a ``BroadcastIndex`` built once per
-broadcast.  A message yields when all but one of its components are known.
+broadcast.  A message yields when all but one of its components are known;
+a symbol sent outright, in a singleton message or a top-up, is a message
+with one component and no other to strip.
 Symbols added to one (file, block) can complete only components of that same
 block, because the blocks partition each file's coded indices; so after a
 message yields, only the components waiting on its block are checked again.
@@ -214,40 +217,21 @@ def seed_from_cache(cache_view: dict[int, tuple[np.ndarray, np.ndarray]],
     return know
 
 
-def _direct_points(b: Broadcast, rows: np.ndarray, coded_len: int):
-    """Flat positions and values of the one-component messages `rows`."""
-    comps = b.msg_start[rows]
-    lens = b.covered[comps]
-    pos = b.cat[_ranges(b.comp_off[comps], lens)] + np.repeat(b.file[comps] * coded_len, lens)
-    return pos, b.payload[_ranges(b.pay_start[rows], lens)]
-
-
-def apply_direct(know: UserKnowledge, messages: Broadcast) -> None:
-    """Add the symbols of a record of one-component messages, such as top-ups:
-    each one always yields its component."""
-    mask, vals = know.flat()
-    pos, values = _direct_points(messages, np.arange(len(messages)), know.coded_len)
-    mask[pos] = True
-    vals[pos] = values
-
-
 @dataclass(frozen=True)
 class BroadcastIndex:
     """Read-only index of a broadcast's messages for the receiver pass.
 
     Built once per broadcast and shared by every receiver's pass; each pass
     keeps its own counts.  Only nonempty components are indexed, since an
-    empty one is known to every receiver.  Messages with at least two
-    components, one of them nonempty, are numbered 0..M-1 and their nonempty
-    components 0..C-1, message by message.  Coded symbol i of a file sits at
-    position file * coded_len + i.  Every array is int32 except `payload`,
-    `single_val` (symbols), and `cat` and `single_pos` (intp: a gather through
-    int32 indices casts them first, which made the pass up to twice as slow on
-    long components).
+    empty one is known to every receiver.  Messages with a nonempty
+    component, one-component messages such as top-ups included, are numbered
+    0..M-1 and their nonempty components 0..C-1, message by message.  Coded
+    symbol i of a file sits at position file * coded_len + i.  Every array is
+    int32 except `payload` (symbols) and `cat` (intp: a gather through int32
+    indices casts it first, which made the pass up to twice as slow on long
+    components).
     """
 
-    single_pos: np.ndarray  # one-component messages' covered positions, concatenated
-    single_val: np.ndarray  # and their symbols
     msg_start: np.ndarray  # message i owns components msg_start[i]:msg_start[i+1]
     pay_start: np.ndarray  # message i's payload starts at payload[pay_start[i]]
     payload: np.ndarray    # the record's payloads, concatenated
@@ -264,21 +248,18 @@ class BroadcastIndex:
         """Index the nonempty messages of `broadcast`, a library coded to
         `coded_len` symbols per file.
 
-        Raises ValueError when two different (file, block) keys of
-        multi-component messages share a coded index: the pass rechecks a
-        component only when symbols of its own key are added.
+        Raises ValueError when two different (file, block) keys share a coded
+        index: the pass rechecks a component only when symbols of its own key
+        are added.  A top-up's block mask is 0, the key of the singleton
+        messages' blocks, so top-ups may share an index only with those.
         """
         b = broadcast
-        live = b.length > 0
         owner = np.repeat(np.arange(len(b)), b.size)
         nonempty = b.covered > 0
-        multi = live & (b.size > 1)
-        multi &= np.bincount(owner[nonempty], minlength=len(b)) > 0
-        single_pos, single_val = _direct_points(b, np.flatnonzero(live & (b.size == 1)),
-                                                coded_len)
-        comps = np.flatnonzero(nonempty & multi[owner])
-        comp_msg = (np.cumsum(multi) - 1)[owner[comps]].astype(np.int32)
-        msg_start = np.zeros(np.count_nonzero(multi) + 1, dtype=np.int32)
+        live = (b.length > 0) & (np.bincount(owner[nonempty], minlength=len(b)) > 0)
+        comps = np.flatnonzero(nonempty & live[owner])
+        comp_msg = (np.cumsum(live) - 1)[owner[comps]].astype(np.int32)
+        msg_start = np.zeros(np.count_nonzero(live) + 1, dtype=np.int32)
         np.cumsum(np.bincount(comp_msg, minlength=msg_start.size - 1), out=msg_start[1:])
         comp_len = b.covered[comps].astype(np.int32)
         if np.any(comp_len > b.length[owner[comps]]):
@@ -301,9 +282,8 @@ class BroadcastIndex:
         cat += np.repeat(comp_file * coded_len, comp_len)
         _require_partition(cat, np.repeat(comp_key, comp_len), sorted_key[new_key], coded_len)
 
-        arrays = (single_pos.astype(np.intp, copy=False), single_val, msg_start,
-                  b.pay_start[multi].astype(np.int32), b.payload, comp_msg, comp_len,
-                  comp_off, comp_key, key_start, key_comps, cat)
+        arrays = (msg_start, b.pay_start[live].astype(np.int32), b.payload, comp_msg,
+                  comp_len, comp_off, comp_key, key_start, key_comps, cat)
         for arr in arrays:
             arr.flags.writeable = False
         return cls(*arrays)
@@ -349,7 +329,8 @@ def strip_fixpoint(know: UserKnowledge, index: BroadcastIndex) -> None:
     """Strip known XOR components until no message yields anything new.
 
     A message yields its single unknown component's covered symbols once every
-    other component is fully known; a one-component message yields at once.
+    other component is fully known, so a one-component message, such as a
+    top-up, yields in the first wave unless its symbols are already known.
     The pass counts each message's unknown components once, then lets all
     ready messages yield together, wave after wave.  After a wave it rechecks
     only the waiting components that share a (file, block) key with a
@@ -358,9 +339,7 @@ def strip_fixpoint(know: UserKnowledge, index: BroadcastIndex) -> None:
     become known.  The fixpoint does not depend on the order of yields.
     """
     ix = index
-    mask, vals = know.flat()
-    mask[ix.single_pos] = True
-    vals[ix.single_pos] = ix.single_val
+    mask = know.flat()[0]
     if ix.pay_start.size == 0:
         return
     known = np.logical_and.reduceat(mask[ix.cat], ix.comp_off)
@@ -580,25 +559,11 @@ def _decode_accounting(params, user, cache_view, schedule, codec) -> DecodeResul
     file0 = schedule.demand.zero_based[user]
     know = seed_from_cache(cache_view, params.n_files, params.coded_len)
     topups = schedule.topups
-    apply_direct(know, topups.take(np.flatnonzero(topups.user < user)))
-    strip_fixpoint(know, BroadcastIndex.build(schedule.messages + schedule.virtuals,
-                                              params.coded_len))
-    apply_direct(know, topups.take(np.flatnonzero(topups.user == user)))
-    res = decode_points(params, user, know.known_points(file0), codec)
-    if not res.success:
-        res.failure = _failure_text(know, schedule, user, file0, res.deficit)
-    return res
-
-
-def _failure_text(know, schedule, user, file0, deficit) -> str:
-    for msg in schedule.messages:
-        for c in msg.components:
-            if c.user == user and c.file == file0 and not know.knows_all(c.file, c.indices):
-                return (f"user {user} is short {deficit} symbols; first unrecovered block "
-                        f"is the one cached by users {_subset_text(c.block_mask)} "
-                        f"({c.full_len} symbols)")
-    return (f"user {user} is short {deficit} symbols; every scheduled block was "
-            f"recovered, the shortfall comes from per-message truncation")
+    for part in (topups.take(np.flatnonzero(topups.user < user)),
+                 schedule.messages + schedule.virtuals,
+                 topups.take(np.flatnonzero(topups.user == user))):
+        strip_fixpoint(know, BroadcastIndex.build(part, params.coded_len))
+    return decode_points(params, user, know.known_points(file0), codec)
 
 
 def _decode_exact(params, user, cache_view, schedule, codec) -> DecodeResult:
@@ -623,7 +588,8 @@ def _exact_ranks(params, user, cache_view, schedule, codec) -> tuple[int, int]:
     the other files, and how much the requested file's coordinates add to it.
 
     Each file is written in the coordinates of f of its coded symbols B: the
-    user's cached indices S, then the lowest f - |S| uncached ones.  Any f
+    user's cached indices S, then its received uncached ones, then the lowest
+    other uncached ones, so most received symbols are unit rows.  Any f
     coded symbols determine a file (MDS), so this change of basis is
     invertible and block diagonal over the files, and ranks do not move.  In
     it a cached symbol is a unit row on its own coordinate; removing those
@@ -650,12 +616,23 @@ def _exact_ranks(params, user, cache_view, schedule, codec) -> tuple[int, int]:
     mat = np.zeros((sum(n_free), live.size), dtype=np.uint16)
     col = 0
     for nf, s, width in zip(order, cached, n_free):
+        on = sym_file == nf
+        received, at = np.unique(sym_index[on], return_inverse=True)
         uncached = np.ones(codec.n, dtype=bool)
         uncached[s] = False
-        basis = np.concatenate([s, np.flatnonzero(uncached)[:width]])
-        on = sym_file == nf
-        rows = generator_matrix(codec, basis)[sym_index[on], len(s):].astype(np.uint16)
-        np.bitwise_xor.at(mat[col: col + width].T, obs[on], rows)
+        fresh = np.flatnonzero(uncached[received])
+        uncached[received] = False
+        basis = np.concatenate([s, received[fresh], np.flatnonzero(uncached)])[:params.f]
+        # over the free coordinates a received symbol is zero when cached, the
+        # unit row of coordinate c when c < width, else a generator row
+        slot = np.full(received.size, -1)
+        slot[fresh] = np.arange(fresh.size)
+        c, j = slot[at], obs[on]
+        unit, dense = (c >= 0) & (c < width), c >= width
+        np.bitwise_xor.at(mat, (col + c[unit], j[unit]), 1)
+        rows = generator_matrix(codec, basis, received[fresh[width:]])[:, len(s):]
+        np.bitwise_xor.at(mat[col: col + width].T, j[dense],
+                          rows.astype(np.uint16)[c[dense] - width])
         col += width
     p_left, p_right = _pivot_counts(codec.gf, mat, sum(n_free[:-1]))
     return sum(len(s) for s in cached[:-1]) + p_left, len(cached[-1]) + p_right
@@ -682,8 +659,13 @@ def _pivot_counts(gf, mat: np.ndarray, split: int) -> tuple[int, int]:
         pr = start + int(cand[0])
         if pr != start:
             mat[col:, [start, pr]] = mat[col:, [pr, start]]
-        factors = gf.mul_vec(mat[col, start + 1:], gf.inv(int(mat[col, start])))
-        mat[col + 1:, start + 1:] ^= gf.mul_vec(mat[col + 1:, start, None], factors)
+        # only the columns from the first to the last nonzero of the pivot
+        # observation change, none when it is a unit row
+        hit = np.flatnonzero(mat[col + 1:, start]) + col + 1
+        if hit.size:
+            factors = gf.mul_vec(mat[col, start + 1:], gf.inv(int(mat[col, start])))
+            lo, hi = hit[0], hit[-1] + 1
+            mat[lo:hi, start + 1:] ^= gf.mul_vec(mat[lo:hi, start, None], factors)
         start += 1
         if col < split:
             p_left += 1

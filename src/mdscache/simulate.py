@@ -42,9 +42,12 @@ def pseudo_symbols(seed: int, count: int, width_mask: int = 0xFFFF) -> np.ndarra
 def require_exact_fits(params: SystemParams, demand: RequestVector) -> None:
     """Raise ParamError when a dense int64 observation matrix, (m*f cached +
     planned delivery symbols) rows by n_files*f columns, would exceed
-    EXACT_MATRIX_BYTES.  The exact decode builds a smaller uint16 system (the
-    delivery symbols by the uncached coordinates), so this size bounds it from
-    above.  Computes the size only; allocates nothing."""
+    EXACT_MATRIX_BYTES.  The exact decode allocates less: a uint16 system of
+    the delivery symbols by the uncached coordinates, and generator rows only
+    for the received uncached symbols beyond those coordinates (see
+    ``decoding._exact_ranks``); tests hold its traced peak under this size at
+    the verify point's f = 512 and 1024 and at m = 0, r = 4.  Computes the
+    size only; allocates nothing."""
     planned = plan_schedule(params, demand).total
     rows = params.n_files * params.cached_per_file + math.ceil(planned)
     size = 8 * params.n_files * params.f * rows

@@ -235,6 +235,25 @@ def test_config_key_typo_exits_2_with_closest_flag(tmp_path, capsys):
     assert "'trails'" in err and "--trials" in err
 
 
+@pytest.mark.parametrize("content", [[1, 2], [["n", 2], ["m", 1], ["k", 3], ["r", 2]]],
+                         ids=["list", "pairs"])
+def test_config_that_is_not_an_object_exits_2_naming_the_file(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(content))
+    code, out, err = run(capsys, "rate", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert str(config) in err and "JSON object" in err
+
+
+def test_k_prime_zero_is_rejected_not_defaulted(capsys):
+    code, out, err = run(capsys, "simulate", "--n", "2", "--m", "1", "--k", "3",
+                         "--k-prime", "0", "--r", "2", "--f", "64")
+    assert code == 2
+    assert out == ""
+    assert "k_prime=0" in err
+
+
 # sha256 of the per-trial log at a point with top-ups, fallbacks and users
 # knowing more than f symbols; a change to seeded output must update these
 # digests and say so in CHANGES.md

@@ -6,13 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from broadcast_reference import record_of
 from mdscache import decoding
 from mdscache.decoding import (BroadcastIndex, BroadcastMessage, MessageComponent,
-                               UserKnowledge, apply_direct, decode_user,
+                               UserKnowledge, decode_user,
                                direct_messages, seed_from_cache, strip_fixpoint,
                                synthesize_skipped)
 from mdscache.delivery import deliver
@@ -149,9 +149,10 @@ def test_index_rejects_blocks_that_share_a_coded_index():
     ]
     with pytest.raises(ValueError, match=r"coded index 3 of file 1 .* users \{0\} .* users \{1\}"):
         BroadcastIndex.build(record_of(pair), 8)
-    # one-component messages, such as top-ups, may cover any indices
-    BroadcastIndex.build(record_of(pair[:1])
-                         + direct_messages([(0, 0, np.array([3, 5]), np.array([1, 2]))]), 8)
+    # a top-up is keyed like any other component: block mask 0
+    with pytest.raises(ValueError):
+        BroadcastIndex.build(record_of(pair[:1])
+                             + direct_messages([(0, 0, np.array([3, 5]), np.array([1, 2]))]), 8)
 
 
 def test_index_rejects_component_longer_than_its_message():
@@ -306,6 +307,7 @@ def delivery_points(draw, max_k=9):
     return make(n=n, kp=k, k=k, m=m, r=r, f=f), demand
 
 
+@example(point=(make(n=3, kp=4, k=4, m=1, r=1, f=96), RequestVector((1, 2, 3, 1))), seed=0)
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(point=delivery_points(), seed=st.integers(0, 2**32 - 1))
 def test_replay_of_delivered_schedule_equals_recorded_points(point, seed):
@@ -322,6 +324,7 @@ def test_replay_of_delivered_schedule_equals_recorded_points(point, seed):
             assert np.array_equal(vals, coded[d.zero_based[user]][idx])
 
 
+@example(point=(make(n=3, kp=4, k=4, m=1, r=1, f=96), RequestVector((1, 2, 3, 1))), seed=0)
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(point=delivery_points(max_k=10), seed=st.integers(0, 2**32 - 1))
 def test_event_driven_pass_equals_naive_strip(point, seed):
@@ -341,7 +344,7 @@ def test_event_driven_pass_equals_naive_strip(point, seed):
             naive_strip(slow, [*messages, *earlier])
             for slice_len in (decoding._SLICE_LEN, 1, p.coded_len + 1):
                 fast = seed_from_cache(view, p.n_files, p.coded_len)
-                apply_direct(fast, earlier)
+                strip_fixpoint(fast, BroadcastIndex.build(earlier, p.coded_len))
                 with mock.patch.object(decoding, "_SLICE_LEN", slice_len):
                     strip_fixpoint(fast, index)
                 for nf in range(p.n_files):

@@ -1,5 +1,6 @@
 """Exact-mode rank oracle: the cache-coordinate system against the dense reference."""
 import copy
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_reference import gauss_jordan_pivots, reference_ranks
+from mdscache import simulate
 from mdscache.decoding import (_decode_exact, _exact_ranks, _pivot_counts, decode_user,
                                synthesize_skipped)
 from mdscache.delivery import deliver
 from mdscache.gf import field
 from mdscache.mds import CodecConfig, mds_encode
-from mdscache.params import RequestVector, SystemParams
+from mdscache.params import ParamError, RequestVector, SystemParams
 from mdscache.placement import derive_seed, prefetch
-from mdscache.simulate import pseudo_symbols, run_trials
+from mdscache.simulate import pseudo_symbols, require_exact_fits, run_trials
 from test_simulate import small_feasible_points
 
 
@@ -119,3 +121,25 @@ def test_exact_decode_of_an_empty_broadcast_matches_the_reference(m, f):
         view = view_of(cache, coded, user, params.n_files)
         assert_matches_reference(params, user, view, empty, config)
         assert not _decode_exact(params, user, view, empty, config).success
+
+
+@pytest.mark.parametrize("m,r,f", [(1, 2, 512), (1, 2, 1024), (0, 4, 256), (0, 4, 512)])
+def test_exact_decode_peak_stays_under_the_guard_figure(monkeypatch, m, r, f):
+    # the dense-matrix size require_exact_fits checks must bound the traced
+    # peak of each user's exact decode: with the budget one byte below that
+    # peak, the check has to refuse the point
+    p = SystemParams(n_files=2, k_prime=3, k=3, m=Fraction(m), r=Fraction(r), f=f)
+    d = RequestVector.worst_case(p)
+    cache, coded, schedule, config = delivered(p, d, 7)
+    peak = 0
+    for user in range(p.k):
+        view = view_of(cache, coded, user, p.n_files)
+        tracemalloc.start()
+        try:
+            assert decode_user(p, user, view, schedule, mode="exact", codec=config).success
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    monkeypatch.setattr(simulate, "EXACT_MATRIX_BYTES", peak - 1)
+    with pytest.raises(ParamError, match="observation matrix"):
+        require_exact_fits(p, d)
