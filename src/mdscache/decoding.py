@@ -588,8 +588,7 @@ def _exact_ranks(params, user, cache_view, schedule, codec) -> tuple[int, int]:
     the other files, and how much the requested file's coordinates add to it.
 
     Each file is written in the coordinates of f of its coded symbols B: the
-    user's cached indices S, then its received uncached ones, then the lowest
-    other uncached ones, so most received symbols are unit rows.  Any f
+    user's cached indices S, then the lowest f - |S| uncached ones.  Any f
     coded symbols determine a file (MDS), so this change of basis is
     invertible and block diagonal over the files, and ranks do not move.  In
     it a cached symbol is a unit row on its own coordinate; removing those
@@ -616,23 +615,12 @@ def _exact_ranks(params, user, cache_view, schedule, codec) -> tuple[int, int]:
     mat = np.zeros((sum(n_free), live.size), dtype=np.uint16)
     col = 0
     for nf, s, width in zip(order, cached, n_free):
-        on = sym_file == nf
-        received, at = np.unique(sym_index[on], return_inverse=True)
         uncached = np.ones(codec.n, dtype=bool)
         uncached[s] = False
-        fresh = np.flatnonzero(uncached[received])
-        uncached[received] = False
-        basis = np.concatenate([s, received[fresh], np.flatnonzero(uncached)])[:params.f]
-        # over the free coordinates a received symbol is zero when cached, the
-        # unit row of coordinate c when c < width, else a generator row
-        slot = np.full(received.size, -1)
-        slot[fresh] = np.arange(fresh.size)
-        c, j = slot[at], obs[on]
-        unit, dense = (c >= 0) & (c < width), c >= width
-        np.bitwise_xor.at(mat, (col + c[unit], j[unit]), 1)
-        rows = generator_matrix(codec, basis, received[fresh[width:]])[:, len(s):]
-        np.bitwise_xor.at(mat[col: col + width].T, j[dense],
-                          rows.astype(np.uint16)[c[dense] - width])
+        basis = np.concatenate([s, np.flatnonzero(uncached)[:width]])
+        on = sym_file == nf
+        rows = generator_matrix(codec, basis)[sym_index[on], len(s):].astype(np.uint16)
+        np.bitwise_xor.at(mat[col: col + width].T, obs[on], rows)
         col += width
     p_left, p_right = _pivot_counts(codec.gf, mat, sum(n_free[:-1]))
     return sum(len(s) for s in cached[:-1]) + p_left, len(cached[-1]) + p_right
@@ -659,13 +647,8 @@ def _pivot_counts(gf, mat: np.ndarray, split: int) -> tuple[int, int]:
         pr = start + int(cand[0])
         if pr != start:
             mat[col:, [start, pr]] = mat[col:, [pr, start]]
-        # only the columns from the first to the last nonzero of the pivot
-        # observation change, none when it is a unit row
-        hit = np.flatnonzero(mat[col + 1:, start]) + col + 1
-        if hit.size:
-            factors = gf.mul_vec(mat[col, start + 1:], gf.inv(int(mat[col, start])))
-            lo, hi = hit[0], hit[-1] + 1
-            mat[lo:hi, start + 1:] ^= gf.mul_vec(mat[lo:hi, start, None], factors)
+        factors = gf.mul_vec(mat[col, start + 1:], gf.inv(int(mat[col, start])))
+        mat[col + 1:, start + 1:] ^= gf.mul_vec(mat[col + 1:, start, None], factors)
         start += 1
         if col < split:
             p_left += 1

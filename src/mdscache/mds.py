@@ -220,11 +220,10 @@ def mds_decode(points, config: CodecConfig) -> np.ndarray:
     return message
 
 
-def generator_matrix(config: CodecConfig, basis=None, rows=None) -> np.ndarray:
-    """Dense matrix G with codeword = G @ codeword[basis]; intended for small f.
+def generator_matrix(config: CodecConfig, basis=None) -> np.ndarray:
+    """Dense n x f matrix G with codeword = G @ codeword[basis]; intended for small f.
 
-    ``basis`` is f distinct coded indices, 0..f-1 (the message) by default;
-    ``rows`` lists the coded indices whose rows are built, all n by default.
+    ``basis`` is f distinct coded indices, 0..f-1 (the message) by default.
     Row basis[i] is the unit row e_i; every other row holds
     G[t, i] = ell(t) * w_i / (t - b_i) with b_i = basis[i], the barycentric
     coefficient of node b_i at target t, where ell(t) = prod_j (t - b_j) and
@@ -233,21 +232,19 @@ def generator_matrix(config: CodecConfig, basis=None, rows=None) -> np.ndarray:
     gf = config.gf
     q1 = gf.order - 1
     basis = np.arange(config.f) if basis is None else np.asarray(basis, dtype=np.int64)
-    rows = np.arange(config.n) if rows is None else np.asarray(rows, dtype=np.int64)
     levels = _levels(config)
     nodes = np.zeros(1 << levels, dtype=np.int64)
     if basis.shape == (config.f,) and basis.min() >= 0 and basis.max() < config.n:
         nodes[basis] = 1
     if nodes.sum() != config.f:  # also when an index repeats
         raise ValueError(f"basis must be {config.f} distinct coded indices in [0, {config.n})")
-    mat = np.zeros((rows.size, config.f), dtype=np.int64)
-    unit = nodes[rows] == 1
-    mat[unit] = rows[unit, None] == basis[None, :]
+    mat = np.zeros((config.n, config.f), dtype=np.int64)
+    mat[basis, np.arange(config.f)] = 1
     # log ell(t) at the targets and log 1 / w_i at the nodes
     sums = _log_sums(levels, nodes)
-    targets = rows[~unit]
+    targets = np.flatnonzero(nodes[: config.n] == 0)
     logs = sums[targets, None] - sums[None, basis]
     logs -= gf.log[targets[:, None] ^ basis[None, :]]
     logs %= q1
-    mat[~unit] = gf.exp[logs]
+    mat[targets] = gf.exp[logs]
     return mat

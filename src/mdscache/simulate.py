@@ -40,22 +40,26 @@ def pseudo_symbols(seed: int, count: int, width_mask: int = 0xFFFF) -> np.ndarra
 
 
 def require_exact_fits(params: SystemParams, demand: RequestVector) -> None:
-    """Raise ParamError when a dense int64 observation matrix, (m*f cached +
-    planned delivery symbols) rows by n_files*f columns, would exceed
-    EXACT_MATRIX_BYTES.  The exact decode allocates less: a uint16 system of
-    the delivery symbols by the uncached coordinates, and generator rows only
-    for the received uncached symbols beyond those coordinates (see
-    ``decoding._exact_ranks``); tests hold its traced peak under this size at
-    the verify point's f = 512 and 1024 and at m = 0, r = 4.  Computes the
-    size only; allocates nothing."""
+    """Raise ParamError when the exact decode's memory would exceed
+    EXACT_MATRIX_BYTES.  It is priced as a dense int64 observation matrix,
+    (m*f cached + planned delivery symbols) rows by n_files*f columns, which
+    holds the uint16 system and its elimination temporaries, plus one file's
+    dense generator, coded_len x f entries at 28 bytes (``generator_matrix``
+    keeps an int64 matrix and, while it fills the non-basis rows, int64 logs,
+    an int64 index and an int32 gather of the same shape), and the int64 copy
+    of the rows the decode keeps, at most rows x f.  Tests hold the
+    traced peak of the decode under this price at the verify point's f = 512
+    and 1024 and at m = 0, r = 4; at f = 32 the decode's fixed costs, a few
+    tens of KB, can exceed it.  Computes the size only; allocates nothing."""
     planned = plan_schedule(params, demand).total
     rows = params.n_files * params.cached_per_file + math.ceil(planned)
-    size = 8 * params.n_files * params.f * rows
-    if size > EXACT_MATRIX_BYTES:
-        raise ParamError(f"exact mode at f={params.f} needs a {size / 1e6:.0f} MB observation "
-                         f"matrix per user, more than the limit of "
-                         f"{EXACT_MATRIX_BYTES / 1e6:.0f} MB; use --mode accounting "
-                         "or a smaller f")
+    matrix = 8 * params.n_files * params.f * rows
+    generator = (28 * params.coded_len + 8 * rows) * params.f
+    if matrix + generator > EXACT_MATRIX_BYTES:
+        raise ParamError(f"exact mode at f={params.f} needs a {matrix / 1e6:.0f} MB observation "
+                         f"matrix and {generator / 1e6:.0f} MB of generator rows per user, "
+                         f"more than the limit of {EXACT_MATRIX_BYTES / 1e6:.0f} MB; "
+                         "use --mode accounting or a smaller f")
 
 
 def choose_codec(params: SystemParams, codec: str) -> str:

@@ -125,9 +125,9 @@ def test_exact_decode_of_an_empty_broadcast_matches_the_reference(m, f):
 
 @pytest.mark.parametrize("m,r,f", [(1, 2, 512), (1, 2, 1024), (0, 4, 256), (0, 4, 512)])
 def test_exact_decode_peak_stays_under_the_guard_figure(monkeypatch, m, r, f):
-    # the dense-matrix size require_exact_fits checks must bound the traced
-    # peak of each user's exact decode: with the budget one byte below that
-    # peak, the check has to refuse the point
+    # the size require_exact_fits checks, observation matrix plus generator
+    # rows, must bound the traced peak of each user's exact decode: with the
+    # budget one byte below that peak, the check has to refuse the point
     p = SystemParams(n_files=2, k_prime=3, k=3, m=Fraction(m), r=Fraction(r), f=f)
     d = RequestVector.worst_case(p)
     cache, coded, schedule, config = delivered(p, d, 7)

@@ -264,17 +264,6 @@ def test_generator_matrix_in_a_random_basis(f, n):
         assert np.array_equal(np.bitwise_xor.reduce(terms, axis=1), coded)
 
 
-@pytest.mark.parametrize("f,n", BASIS_SHAPES, ids=[f"{f}-{n}" for f, n in BASIS_SHAPES])
-def test_generator_matrix_rows_are_those_of_the_whole_matrix(f, n):
-    config = CodecConfig(f, n)
-    rng = np.random.default_rng(f * 1000 + n + 1)
-    basis = rng.permutation(n)[:f]
-    rows = rng.integers(0, n, size=2 * n)  # basis rows, repeats and any order
-    assert np.array_equal(generator_matrix(config, basis, rows),
-                          generator_matrix(config, basis)[rows])
-    assert generator_matrix(config, basis, []).shape == (0, f)
-
-
 @pytest.mark.parametrize("basis", [[0], [0, 1, 1], [0, 1, 10], [-1, 1, 2]])
 def test_generator_matrix_rejects_a_bad_basis(basis):
     with pytest.raises(ValueError, match="basis must be 3 distinct coded indices"):
