@@ -11,8 +11,10 @@ Two fidelities are implemented:
 * exact: decide recoverability of the requested file by rank analysis of the
   user's linear observations over the symbol field (small f only).  Each file
   is written in the coordinates of f of its coded symbols, the cached ones
-  first, so cached symbols drop out and only the received symbols over the
-  uncached coordinates are row reduced
+  first and the received uncached ones next, so cached symbols drop out and
+  most received symbols are unit rows.  Observations with one unknown are
+  peeled off as pivots, round after round, and only what is left is row
+  reduced
 
 A broadcast is one columnar ``Broadcast`` record.  Per message it holds the
 subset size j, the receiver subset mask, the length, the kind and the number
@@ -587,16 +589,20 @@ def _exact_ranks(params, user, cache_view, schedule, codec) -> tuple[int, int]:
     """(p_other, p_target): the rank of the user's observations restricted to
     the other files, and how much the requested file's coordinates add to it.
 
-    Each file is written in the coordinates of f of its coded symbols B: the
-    user's cached indices S, then the lowest f - |S| uncached ones.  Any f
-    coded symbols determine a file (MDS), so this change of basis is
-    invertible and block diagonal over the files, and ranks do not move.  In
-    it a cached symbol is a unit row on its own coordinate; removing those
-    rows and their columns (a Schur complement with the identity) leaves each
-    message and top-up symbol over the free coordinates B - S, and the rank
-    drops by exactly the |S| removed rows.  So p = |S| + the pivots of the
+    Each file is written in the coordinates of f of its coded symbols B:
+    the user's cached indices S, then its received uncached ones, then the
+    lowest other uncached ones.  Any f coded symbols determine a file (MDS),
+    so this change of basis is invertible and block diagonal over the files,
+    and ranks do not move.  In it a cached symbol is a unit row on its own
+    coordinate; removing those rows and their columns (a Schur complement
+    with the identity) leaves each message and top-up symbol over the free
+    coordinates B - S, and the rank drops by exactly the |S| removed rows.
+    Over B - S a received symbol is zero when cached, a unit row when it is a
+    coordinate, and a generator row only when its file has more received
+    uncached symbols than free coordinates.  So p = |S| + the pivots of the
     free system, file block by file block: the other files' columns first,
-    the requested file's last.
+    the requested file's last.  ``_peel_then_eliminate`` counts them: it
+    peels the observations with a single unknown, then eliminates the rest.
     """
     file0 = schedule.demand.zero_based[user]
     b = schedule.messages + schedule.topups
@@ -615,15 +621,60 @@ def _exact_ranks(params, user, cache_view, schedule, codec) -> tuple[int, int]:
     mat = np.zeros((sum(n_free), live.size), dtype=np.uint16)
     col = 0
     for nf, s, width in zip(order, cached, n_free):
-        uncached = np.ones(codec.n, dtype=bool)
-        uncached[s] = False
-        basis = np.concatenate([s, np.flatnonzero(uncached)[:width]])
         on = sym_file == nf
-        rows = generator_matrix(codec, basis)[sym_index[on], len(s):].astype(np.uint16)
-        np.bitwise_xor.at(mat[col: col + width].T, obs[on], rows)
+        index, j = sym_index[on], obs[on]
+        fresh = np.zeros(codec.n, dtype=bool)
+        fresh[index] = True
+        fresh[s] = False
+        received = np.flatnonzero(fresh)  # received uncached indices, ascending
+        other = ~fresh
+        other[s] = False
+        basis = np.concatenate([s, received, np.flatnonzero(other)])[:params.f]
+        # a received symbol's free coordinate, or -1 when it is cached
+        slot = np.full(codec.n, -1)
+        slot[received] = np.arange(received.size)
+        c = slot[index]
+        unit, dense = (c >= 0) & (c < width), c >= width
+        np.bitwise_xor.at(mat, (col + c[unit], j[unit]), 1)
+        if dense.any():
+            rows = generator_matrix(codec, basis, received[width:])[:, len(s):]
+            np.bitwise_xor.at(mat[col: col + width].T, j[dense],
+                              rows.astype(np.uint16)[c[dense] - width])
         col += width
-    p_left, p_right = _pivot_counts(codec.gf, mat, sum(n_free[:-1]))
+    p_left, p_right = _peel_then_eliminate(codec.gf, mat, sum(n_free[:-1]))
     return sum(len(s) for s in cached[:-1]) + p_left, len(cached[-1]) + p_right
+
+
+def _peel_then_eliminate(gf, mat: np.ndarray, split: int) -> tuple[int, int]:
+    """Pivots left and right of column `split`, as ``_pivot_counts`` counts them.
+
+    `mat` is the system transposed, mat[c] column c and mat[:, j] observation
+    j; it is overwritten.  An observation with one nonzero, on column c, is a
+    pivot on c, and eliminating it only zeroes column c in the others.  So
+    each round takes every such observation at once, counts each column they
+    hit as one pivot on its side of the split, and zeroes those columns;
+    rounds go on while zeroing leaves new ones.  A pivot on a right-hand
+    column leaves the rank of the left columns alone, so both counts stay
+    exact.  Forward elimination then runs on the columns and observations
+    that are still nonzero.
+    """
+    nonzero = np.count_nonzero(mat, axis=0)
+    p_left = p_right = 0
+    units = np.flatnonzero(nonzero == 1)
+    while units.size:
+        hit = np.zeros(mat.shape[0], dtype=bool)
+        hit[mat[:, units].argmax(axis=0)] = True
+        peeled = np.flatnonzero(hit)
+        left = int(np.count_nonzero(peeled < split))
+        p_left += left
+        p_right += peeled.size - left
+        nonzero -= np.count_nonzero(mat[peeled], axis=0)
+        mat[peeled] = 0
+        units = np.flatnonzero(nonzero == 1)
+    cols = np.flatnonzero(mat.any(axis=1))
+    rest = mat[np.ix_(cols, np.flatnonzero(nonzero))]
+    rest_left, rest_right = _pivot_counts(gf, rest, int(np.count_nonzero(cols < split)))
+    return p_left + rest_left, p_right + rest_right
 
 
 def _pivot_counts(gf, mat: np.ndarray, split: int) -> tuple[int, int]:

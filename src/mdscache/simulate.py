@@ -15,9 +15,9 @@ Coded files come in two flavors:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from statistics import stdev
 
 import numpy as np
@@ -44,17 +44,19 @@ def require_exact_fits(params: SystemParams, demand: RequestVector) -> None:
     EXACT_MATRIX_BYTES.  It is priced as a dense int64 observation matrix,
     (m*f cached + planned delivery symbols) rows by n_files*f columns, which
     holds the uint16 system and its elimination temporaries, plus one file's
-    dense generator, coded_len x f entries at 28 bytes (``generator_matrix``
-    keeps an int64 matrix and, while it fills the non-basis rows, int64 logs,
-    an int64 index and an int32 gather of the same shape), and the int64 copy
-    of the rows the decode keeps, at most rows x f.  Tests hold the
-    traced peak of the decode under this price at the verify point's f = 512
-    and 1024 and at m = 0, r = 4; at f = 32 the decode's fixed costs, a few
-    tens of KB, can exceed it.  Computes the size only; allocates nothing."""
-    planned = plan_schedule(params, demand).total
-    rows = params.n_files * params.cached_per_file + math.ceil(planned)
+    generator rows.  The decode builds rows only for the received uncached
+    symbols of a file beyond its f - |S| free coordinates (see
+    ``decoding._exact_ranks``): at most the planned delivery symbols and at
+    most coded_len - f, f entries each at 30 bytes (``generator_matrix``
+    fills an int64 matrix through int64 logs, an int64 index and an int32
+    gather, and the decode keeps a uint16 copy).  Tests hold the traced peak
+    of the decode under this price at the verify point's f = 512 and 1024
+    and at m = 0, r = 4; at f = 32 the decode's fixed costs, a few tens of
+    KB, can exceed it.  Computes the size only; allocates nothing."""
+    planned = math.ceil(plan_schedule(params, demand).total)
+    rows = params.n_files * params.cached_per_file + planned
     matrix = 8 * params.n_files * params.f * rows
-    generator = (28 * params.coded_len + 8 * rows) * params.f
+    generator = 30 * params.f * min(planned, params.coded_len - params.f)
     if matrix + generator > EXACT_MATRIX_BYTES:
         raise ParamError(f"exact mode at f={params.f} needs a {matrix / 1e6:.0f} MB observation "
                          f"matrix and {generator / 1e6:.0f} MB of generator rows per user, "
@@ -182,10 +184,18 @@ def run_one_trial(params: SystemParams, demand: RequestVector, master_seed: int,
         trial=trial, seed=tseed, demand=demand.files, codec_kind=codec_kind,
         main_symbols=schedule.main_symbols, fallback_symbols=schedule.fallback_symbols,
         topup_symbols=schedule.topup_symbols, total_symbols=total,
-        rate=total / params.f, per_iteration=per_it,
-        successes=tuple(successes), known=tuple(known),
-        exact_successes=tuple(exact) if mode == "exact" else None,
+        rate=_shared("rate", total / params.f), per_iteration=_shared("steps", per_it),
+        successes=_shared("ok", tuple(successes)), known=_shared("known", tuple(known)),
+        exact_successes=_shared("ok", tuple(exact)) if mode == "exact" else None,
     )
+
+
+@lru_cache(maxsize=1 << 12)
+def _shared(field: str, value):
+    """The first equal `value` of result field `field` seen, so that trials
+    share their repeated outcome tuples: a run keeps every TrialResult.  The
+    field name keeps fields apart, since (True,) == (1,)."""
+    return value
 
 
 def _trial_worker(args) -> TrialResult:
@@ -215,6 +225,9 @@ def run_trials(params: SystemParams, demand: RequestVector | None = None,
         require_exact_fits(params, demand)
     args = [(params, demand, seed, t, mode, codec_kind, reconstruct) for t in range(trials)]
     if jobs > 1:
+        # imported here: the pool module loads multiprocessing, which a
+        # serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_trial_worker, args))
     else:

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exact_reference import gauss_jordan_pivots, reference_ranks
 from mdscache import simulate
-from mdscache.decoding import (_decode_exact, _exact_ranks, _pivot_counts, decode_user,
-                               synthesize_skipped)
+from mdscache.decoding import (_decode_exact, _exact_ranks, _peel_then_eliminate,
+                               _pivot_counts, decode_user, synthesize_skipped)
 from mdscache.delivery import deliver
 from mdscache.gf import field
 from mdscache.mds import CodecConfig, mds_encode
@@ -96,6 +96,45 @@ def test_forward_elimination_counts_equal_gauss_jordan(rows, cols, split):
         assert _pivot_counts(gf, mat.T.astype(np.uint16), split) == want
 
 
+@st.composite
+def peelable_systems(draw):
+    """A GF(2^16) system, one row per observation, and a split.  It mixes
+    random rows, unit rows on a few columns (so several may hit one column)
+    and a chain: the chain's first row is a unit row, and each next row
+    becomes one once the column before it is peeled.  Rows are shuffled."""
+    gf = field(16)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_cols = draw(st.integers(0, 24))
+    dense = rng.integers(0, gf.order, size=(draw(st.integers(0, 12)), n_cols))
+    dense[rng.random(dense.shape) < draw(st.floats(0, 1))] = 0
+    n_units = draw(st.integers(0, 2 * n_cols))
+    units = np.zeros((n_units, n_cols), dtype=np.int64)
+    if n_units:
+        unit_cols = rng.choice(n_cols, size=draw(st.integers(1, n_cols)))
+        units[np.arange(n_units), rng.choice(unit_cols, size=n_units)] = 1
+    links = rng.permutation(n_cols)[:draw(st.integers(0, n_cols))]
+    chain = np.zeros((links.size, n_cols), dtype=np.int64)
+    chain[np.arange(links.size), links] = 1
+    chain[np.arange(1, links.size), links[:-1]] = 1
+    sparse = np.concatenate([units, chain])
+    sparse *= rng.integers(1, gf.order, size=sparse.shape)
+    mat = np.concatenate([dense, sparse])
+    return mat[rng.permutation(len(mat))], draw(st.integers(0, n_cols))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(system=peelable_systems())
+@example(system=(np.zeros((0, 0), dtype=np.int64), 0))
+@example(system=(np.zeros((3, 0), dtype=np.int64), 0))
+@example(system=(np.zeros((0, 4), dtype=np.int64), 2))
+def test_peel_then_eliminate_counts_equal_gauss_jordan(system):
+    mat, split = system
+    gf = field(16)
+    for at in sorted({0, split, mat.shape[1]}):
+        want = gauss_jordan_pivots(gf, mat.copy(), at)
+        assert _peel_then_eliminate(gf, mat.T.astype(np.uint16), at) == want
+
+
 @pytest.mark.parametrize("m", [0, 2])
 def test_exact_mode_at_degenerate_caches(m):
     # m = 0 caches nothing, so the basis is the systematic one; m = 2 = n_files
@@ -108,6 +147,16 @@ def test_exact_mode_at_degenerate_caches(m):
     for user in range(params.k):
         assert_matches_reference(params, user, view_of(cache, coded, user, params.n_files),
                                  schedule, config)
+
+
+def test_every_user_decodes_in_exact_mode_at_k_twice_n():
+    # the central claim checked by rank where k > n: same-file users share
+    # most messages, and peeling leaves the most to eliminate
+    params = SystemParams(n_files=3, k_prime=6, k=6, m=Fraction(1), r=Fraction(2), f=300)
+    stats = run_trials(params, trials=2, seed=0, mode="exact", codec="real")
+    for trial in stats.trials:
+        assert all(trial.exact_successes)
+        assert trial.exact_successes == trial.successes
 
 
 @pytest.mark.parametrize("m,f", [(0, 8), (1, 64)])

@@ -1,11 +1,16 @@
 """Monte Carlo harness: determinism, codec selection, statistics, theory checks."""
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdscache
 from mdscache.analysis import rate_mds_dec
 from mdscache.params import RequestVector, SystemParams, suggest_feasible_f
 from mdscache.simulate import (choose_codec, compare_to_theory, pseudo_symbols,
@@ -76,6 +81,42 @@ def test_run_trials_deterministic_and_jobs_invariant():
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_trials(p, trials=1, jobs=jobs)
+
+
+def test_trials_share_equal_outcome_tuples():
+    # a run keeps every TrialResult, so equal outcomes are one object; at
+    # f = 1 the success flags (True,) equal the counts (1,), and each field
+    # must still hold its own type
+    p = SystemParams(n_files=1, k_prime=1, k=1, m=Fraction(0), r=Fraction(1), f=1)
+    first, *rest = run_trials(p, trials=3, seed=1).trials
+    for t in rest:
+        for name in ("successes", "known", "rate", "per_iteration"):
+            assert getattr(t, name) is getattr(first, name)
+    assert (first.successes, first.known, first.rate) == ((True,), (1,), 1.0)
+    assert type(first.successes[0]) is bool and type(first.known[0]) is int
+    assert type(first.rate) is float
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # only a run with jobs > 1 imports the pool, which loads multiprocessing;
+    # a fresh process shows what the import alone loads
+    script = "\n".join((
+        "import sys",
+        "import mdscache",
+        "assert 'concurrent.futures.process' not in sys.modules",
+        "from fractions import Fraction",
+        "from mdscache import SystemParams, run_trials",
+        "p = SystemParams(n_files=2, k_prime=3, k=3, m=Fraction(1), r=Fraction(2), f=200)",
+        "serial = run_trials(p, trials=3, seed=42)",
+        "assert 'concurrent.futures.process' not in sys.modules",
+        "assert run_trials(p, trials=3, seed=42, jobs=2).trials == serial.trials",
+    ))
+    src = str(Path(mdscache.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_trial_prefix_stability():
