@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:  # ParamError included
+    except (ValueError, OSError) as exc:  # ParamError and unreadable or unwritable paths included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

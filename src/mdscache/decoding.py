@@ -20,11 +20,11 @@ A broadcast is one columnar ``Broadcast`` record.  Per message it holds the
 subset size j, the receiver subset mask, the length, the kind and the number
 of components, and all payloads concatenated.  Per component, message by
 message, it holds the user who needs it, the file, the mask of the users
-caching the block, the number of covered indices and the block length before
-truncation, and all covered indices concatenated.  Delivery, skipped-message
-synthesis, the index and the receiver pass read these arrays; an accounting
-trial builds no per-message or per-component Python object.  Iterating a
-record yields ``BroadcastMessage`` views; no program path iterates one.
+caching the block and the number of covered indices, and all covered indices
+concatenated.  Delivery, skipped-message synthesis, the index and the
+receiver pass read these arrays; an accounting trial builds no per-message
+or per-component Python object.  Iterating a record yields
+``BroadcastMessage`` views; no program path iterates one.
 
 The stripping pass is event driven over a ``BroadcastIndex`` built once per
 broadcast.  A message yields when all but one of its components are known;
@@ -56,7 +56,6 @@ class MessageComponent:
     file: int
     block_mask: int
     indices: np.ndarray  # covered coded indices, ascending
-    full_len: int        # block length before truncation
 
 
 @dataclass
@@ -91,7 +90,6 @@ class Broadcast:
     file: np.ndarray
     block: np.ndarray    # mask of the users caching the block
     covered: np.ndarray  # covered indices, a prefix of the block
-    full: np.ndarray     # block length before truncation
     cat: np.ndarray      # covered coded indices, concatenated in order
 
     @classmethod
@@ -133,7 +131,7 @@ class Broadcast:
         rows = np.asarray(rows, dtype=np.intp)
         comps = _ranges(self.msg_start[rows], self.size[rows])
         per_msg = (self.j, self.subset, self.length, self.kind, self.size)
-        per_comp = (self.user, self.file, self.block, self.covered, self.full)
+        per_comp = (self.user, self.file, self.block, self.covered)
         return Broadcast(*(a[rows] for a in per_msg),
                          self.payload[_ranges(self.pay_start[rows], self.length[rows])],
                          *(a[comps] for a in per_comp),
@@ -144,11 +142,10 @@ class Broadcast:
         offs = self.comp_off[first:end].tolist()
         comps = tuple(
             MessageComponent(user=u, file=nf, block_mask=bm,
-                             indices=self.cat[off: off + cov], full_len=full)
-            for u, nf, bm, cov, full, off in zip(
+                             indices=self.cat[off: off + cov])
+            for u, nf, bm, cov, off in zip(
                 self.user[first:end].tolist(), self.file[first:end].tolist(),
-                self.block[first:end].tolist(), self.covered[first:end].tolist(),
-                self.full[first:end].tolist(), offs))
+                self.block[first:end].tolist(), self.covered[first:end].tolist(), offs))
         start, length = int(self.pay_start[i]), int(self.length[i])
         return BroadcastMessage(j=int(self.j[i]), subset_mask=int(self.subset[i]),
                                 length=length, payload=self.payload[start: start + length],
@@ -171,7 +168,7 @@ def direct_messages(parts) -> Broadcast:
                      kind=np.full(lens.size, TOPUP, dtype=np.int8), size=ones,
                      payload=np.concatenate(values).astype(np.int64),
                      user=users, file=np.array(files, dtype=np.int64),
-                     block=np.zeros_like(lens), covered=lens, full=lens,
+                     block=np.zeros_like(lens), covered=lens,
                      cat=np.concatenate(indices).astype(np.int64))
 
 
@@ -179,7 +176,6 @@ class UserKnowledge:
     """Monotone map of (file, coded symbol index) to value known by one user."""
 
     def __init__(self, n_files: int, coded_len: int):
-        self.coded_len = coded_len
         self._mask = np.zeros((n_files, coded_len), dtype=bool)
         self._vals = np.zeros((n_files, coded_len), dtype=np.int64)
 
@@ -334,14 +330,15 @@ def strip_fixpoint(know: UserKnowledge, index: BroadcastIndex) -> None:
     other component is fully known, so a one-component message, such as a
     top-up, yields in the first wave unless its symbols are already known.
     The pass counts each message's unknown components once, then lets all
-    ready messages yield together, wave after wave.  After a wave it rechecks
-    only the waiting components that share a (file, block) key with a
-    yielded one: the blocks partition each file's coded indices
-    (``BroadcastIndex.build`` checks this), so no other component can have
-    become known.  The fixpoint does not depend on the order of yields.
+    ready messages yield together in one vectorized step, wave after wave.
+    After a wave it rechecks only the waiting components that share a
+    (file, block) key with a yielded one: the blocks partition each file's
+    coded indices (``BroadcastIndex.build`` checks this), so no other
+    component can have become known.  The fixpoint does not depend on the
+    order of yields.
     """
     ix = index
-    mask = know.flat()[0]
+    mask, vals = know.flat()
     if ix.pay_start.size == 0:
         return
     known = np.logical_and.reduceat(mask[ix.cat], ix.comp_off)
@@ -353,12 +350,21 @@ def strip_fixpoint(know: UserKnowledge, index: BroadcastIndex) -> None:
     ready = np.flatnonzero(unknown == 1)
     while ready.size:
         members = _ranges(ix.msg_start[ready], msg_size[ready])
-        target = members[~known[members]]  # one per ready message, in order
-        sliced = ix.comp_len[target] >= _SLICE_LEN
-        for i, t in zip(ready[sliced].tolist(), target[sliced].tolist()):
-            _yield_sliced(know, ix, i, t)
-        if not sliced.all():
-            _yield_batch(know, ix, ready[~sliced], known, msg_size)
+        is_target = ~known[members]
+        target = members[is_target]  # one per ready message, in order
+        # each target's symbols: its message's payload prefix XOR the other
+        # members' symbols, each up to the shorter of the two lengths
+        lc = ix.comp_len[target]
+        acc = ix.payload[_ranges(ix.pay_start[ready], lc)]
+        rest = ~is_target
+        others = members[rest]
+        o_owner = np.repeat(np.arange(ready.size), msg_size[ready])[rest]
+        lo = np.minimum(ix.comp_len[others], lc[o_owner])
+        np.bitwise_xor.at(acc, _ranges((np.cumsum(lc) - lc)[o_owner], lo),
+                          vals[ix.cat[_ranges(ix.comp_off[others], lo)]])
+        dst = ix.cat[_ranges(ix.comp_off[target], lc)]
+        mask[dst] = True
+        vals[dst] = acc
         known[target] = True
         unknown[ready] = 0
 
@@ -371,50 +377,6 @@ def strip_fixpoint(know: UserKnowledge, index: BroadcastIndex) -> None:
         known[newly] = True
         np.subtract.at(unknown, ix.comp_msg[newly], 1)
         ready = np.flatnonzero(unknown == 1)
-
-
-# a target component at least this long yields through slices of the index's
-# arrays; shorter ones yield together.  In waves of 100 three-component
-# messages the batch costs less per message up to 64 symbols and more from
-# 128-256 on, since it reaches every symbol through a gathered index
-_SLICE_LEN = 64
-
-
-def _yield_sliced(know: UserKnowledge, ix: BroadcastIndex, i: int, target: int) -> None:
-    """Message i yields its unknown component `target`."""
-    mask, vals = know.flat()
-    first, end = ix.msg_start[i: i + 2].tolist()
-    offs, lens = ix.comp_off[first:end].tolist(), ix.comp_len[first:end].tolist()
-    t = target - first
-    lc = lens[t]
-    acc = ix.payload[ix.pay_start[i]: ix.pay_start[i] + lc].copy()
-    for x, (off, length) in enumerate(zip(offs, lens)):
-        if x != t:
-            lo = min(length, lc)
-            acc[:lo] ^= vals[ix.cat[off: off + lo]]
-    dst = ix.cat[offs[t]: offs[t] + lc]
-    mask[dst] = True
-    vals[dst] = acc
-
-
-def _yield_batch(know: UserKnowledge, ix: BroadcastIndex, ready: np.ndarray,
-                 known: np.ndarray, msg_size: np.ndarray) -> None:
-    """Every message in `ready` yields its one unknown component."""
-    mask, vals = know.flat()
-    members = _ranges(ix.msg_start[ready], msg_size[ready])
-    owner = np.repeat(np.arange(ready.size), msg_size[ready])
-    is_target = ~known[members]
-    target = members[is_target]
-    lc = ix.comp_len[target]
-    acc_start = np.cumsum(lc) - lc
-    acc = ix.payload[_ranges(ix.pay_start[ready], lc)]
-    others, o_owner = members[~is_target], owner[~is_target]
-    lo = np.minimum(ix.comp_len[others], lc[o_owner])
-    src = ix.cat[_ranges(ix.comp_off[others], lo)]
-    np.bitwise_xor.at(acc, _ranges(acc_start[o_owner], lo), vals[src])
-    dst = ix.cat[_ranges(ix.comp_off[target], lc)]
-    mask[dst] = True
-    vals[dst] = acc
 
 
 def synthesize_skipped(k: int, leaders_mask: int, demand0,
@@ -513,7 +475,7 @@ def _skipped_of_size(b: Broadcast, rows: np.ndarray, skipped: np.ndarray, users:
         j=np.full(out.size, j, dtype=np.int64), subset=skipped[out], length=lens,
         kind=np.full(out.size, VIRTUAL, dtype=np.int8), size=np.full(out.size, j, dtype=np.int64),
         payload=payload, user=np.take_along_axis(users, by_key, 1).ravel(),
-        file=b.file[src], block=b.block[src], covered=cov, full=b.full[src],
+        file=b.file[src], block=b.block[src], covered=cov,
         cat=b.cat[_ranges(b.comp_off[src], cov)])
     return record, length > 0
 

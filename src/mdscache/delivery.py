@@ -256,4 +256,4 @@ def _multicast(subsets: np.ndarray, kind: np.ndarray, j: int, cap: int, k: int, 
     return Broadcast(j=np.full(n, j, dtype=np.int64), subset=subsets, length=length, kind=kind,
                      size=np.full(n, j, dtype=np.int64), payload=payload, user=users.ravel(),
                      file=files.ravel(), block=blocks.ravel(), covered=covered.ravel(),
-                     full=full.ravel(), cat=cat)
+                     cat=cat)

@@ -28,8 +28,9 @@ class GF2:
 
     def _build_tables(self) -> None:
         q1 = self.order - 1
-        # x^0 .. x^(order-1) by doubling: the next block is this one times x^len
-        powers = np.ones(1, dtype=np.int64)
+        # x^0 .. x^(order-1) by doubling: the next block is this one times x^len;
+        # every intermediate stays below 2^(width+1), so int32 holds it
+        powers = np.ones(1, dtype=np.int32)
         while powers.size < self.order:
             powers = np.concatenate([powers, self.mul_slow(powers, self.mul_slow(int(powers[-1]), 2))])
         if powers[q1] != 1:
@@ -58,7 +59,7 @@ class GF2:
     def mul_slow(self, a, b: int):
         """Bitwise carry-less multiply with polynomial reduction; table-free reference.
 
-        ``a`` may be an int or an int64 array, multiplied elementwise by ``b``."""
+        ``a`` may be an int or an integer array, multiplied elementwise by ``b``."""
         acc = 0
         while b:
             if b & 1:

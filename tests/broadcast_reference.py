@@ -57,7 +57,7 @@ def record_of(messages) -> Broadcast:
         payload=cat(m.payload[: m.length] for m in msgs),
         user=ints(c.user for c in comps), file=ints(c.file for c in comps),
         block=ints(c.block_mask for c in comps), covered=ints(len(c.indices) for c in comps),
-        full=ints(c.full_len for c in comps), cat=cat(c.indices for c in comps))
+        cat=cat(c.indices for c in comps))
 
 
 def reference_messages(params, cache, d, coded_files, reconstruct=True) -> list[BroadcastMessage]:
@@ -97,8 +97,7 @@ def build_message(smask, j, cap, d0, partitions, coded_files, kind):
         covered = blk[: min(length, blk.size)]
         if covered.size:
             payload[: covered.size] ^= coded_files[nf][covered]
-        comps.append(MessageComponent(user=u, file=nf, block_mask=amask,
-                                      indices=covered, full_len=blk.size))
+        comps.append(MessageComponent(user=u, file=nf, block_mask=amask, indices=covered))
     return BroadcastMessage(j=j, subset_mask=smask, length=length, payload=payload,
                             components=tuple(comps), kind=kind)
 
@@ -187,10 +186,9 @@ def _combine(sel, smask, j, expected):
         user_mask = smask & ~key[1]
         if user_mask.bit_count() != 1:
             return None
-        covered = src.indices[: min(length, src.full_len)]
         comps.append(MessageComponent(
             user=user_mask.bit_length() - 1, file=key[0], block_mask=key[1],
-            indices=covered, full_len=src.full_len,
+            indices=src.indices[:length],
         ))
     return BroadcastMessage(j=j, subset_mask=smask, length=length, payload=payload,
                             components=tuple(comps), kind="virtual")
@@ -205,6 +203,5 @@ def assert_same_messages(got, want) -> None:
         assert np.array_equal(g.payload, w.payload)
         assert len(g.components) == len(w.components)
         for gc, wc in zip(g.components, w.components):
-            assert (gc.user, gc.file, gc.block_mask, gc.full_len) == \
-                (wc.user, wc.file, wc.block_mask, wc.full_len)
+            assert (gc.user, gc.file, gc.block_mask) == (wc.user, wc.file, wc.block_mask)
             assert np.array_equal(gc.indices, wc.indices)

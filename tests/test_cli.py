@@ -246,6 +246,18 @@ def test_config_that_is_not_an_object_exits_2_naming_the_file(tmp_path, capsys, 
     assert str(config) in err and "JSON object" in err
 
 
+@pytest.mark.parametrize("flag", ["--config", "--out", "--log"])
+def test_directory_path_exits_2_with_one_error_line(tmp_path, capsys, flag):
+    # a path that cannot be read or written is bad usage (2), not a failed check (1)
+    base = ("rate", "--n", "2", "--m", "1", "--k", "3", "--r", "2") if flag == "--config" else \
+        ("simulate", "--n", "2", "--m", "1", "--k", "3", "--r", "2", "--f", "100", "--trials", "1")
+    code, out, err = run(capsys, *base, flag, str(tmp_path))
+    assert code == 2
+    assert out == "" or flag == "--log"  # the log is written after the report
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_k_prime_zero_is_rejected_not_defaulted(capsys):
     code, out, err = run(capsys, "simulate", "--n", "2", "--m", "1", "--k", "3",
                          "--k-prime", "0", "--r", "2", "--f", "64")
