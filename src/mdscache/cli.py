@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import errno
 import json
+import os
 import sys
 from dataclasses import asdict
 from decimal import Decimal, localcontext
@@ -153,6 +155,17 @@ def _trial_record(t) -> dict:
     return rec
 
 
+def _require_writable(path: str) -> None:
+    """Raise the error ``open(path, "w")`` would, without creating the file."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _run_simulate(args: argparse.Namespace, preset: dict | None = None) -> int:
     opt = _merged(args, ())
     if preset:
@@ -165,6 +178,9 @@ def _run_simulate(args: argparse.Namespace, preset: dict | None = None) -> int:
     params = _build_params(opt)
     demand = _parse_demand(opt["demand"]) if opt.get("demand") else None
     tolerance = check_tolerance(opt.get("tolerance", 0.02))
+    for key in ("out", "log"):  # before the trials, so a bad path fails at once
+        if opt.get(key):
+            _require_writable(opt[key])
     stats = run_trials(
         params,
         demand=demand,

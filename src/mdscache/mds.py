@@ -30,6 +30,13 @@ l on the known points and of l' on E are the one XOR convolution
 sum_{e in E} log(x ^ e) (log 0 = 0 drops the self term), done with integer
 Walsh-Hadamard transforms; ``generator_matrix`` takes its barycentric log-sums
 from the same helper.
+
+Each call runs only the butterflies whose results it reads.  Q is zero above
+the highest known point, so below the top level the IFFT skips the blocks that
+start there; the FFT runs only the blocks between the lowest and the highest
+wanted point.  An encode at r = 2 thus transforms the lower half of V going in
+and the upper half coming out.  An encode always knows 0..f-1, so its locator
+logs are built once per (log N, f) and cached read-only.
 """
 from __future__ import annotations
 
@@ -135,31 +142,53 @@ def _log_sums(levels: int, members: np.ndarray) -> np.ndarray:
     return _walsh_hadamard(spectrum) % q1 * (1 << (16 - levels)) % q1
 
 
+def _locator(levels: int, known: np.ndarray) -> np.ndarray:
+    """log l on the known points and log l' on the erased ones, l the erasure locator."""
+    erased = np.ones(1 << levels, dtype=np.int64)
+    erased[known] = 0
+    return _log_sums(levels, erased)
+
+
+@lru_cache(maxsize=8)
+def _encoder_locator(levels: int, f: int) -> np.ndarray:
+    """``_locator`` of an encode, whose known points are always 0..f-1."""
+    return _readonly(_locator(levels, np.arange(f)))
+
+
 def _erasure_decode(levels: int, known: np.ndarray, values: np.ndarray,
-                    wanted: np.ndarray) -> np.ndarray:
+                    wanted: np.ndarray, ell: np.ndarray) -> np.ndarray:
     """Values at the erased points ``wanted`` of the polynomial of degree < len(known)
-    through (known, values), all points in {0..2^levels - 1}."""
+    through (known, values), all points in {0..2^levels - 1}; ``ell`` is
+    ``_locator(levels, known)``.
+
+    The transforms skip the blocks they can prove zero or unread.  Below the
+    top level the IFFT runs only on the blocks that start below max(known) + 1,
+    since every block above holds zeros until the top level mixes it in.  The
+    FFT at level i runs only on the blocks min(wanted) >> (i + 1) through
+    max(wanted) >> (i + 1), the ones that hold a wanted point.
+    """
     gf = field(16)
     q1 = gf.order - 1
     log, exp = gf.log, gf.exp
     skews, slopes, _ = _transform(levels)
-    erased = np.ones(1 << levels, dtype=np.int64)
-    erased[known] = 0
-    ell = _log_sums(levels, erased)  # log l on the known points, log l' on the erased
     q = np.zeros(1 << levels, dtype=np.int32)
     q[known] = exp[log[values] + ell[known]]
+    top = int(known.max()) + 1
     for i in range(levels):  # IFFT: values of Q = P * l on V -> coefficients
-        pairs = q.reshape(-1, 2, 1 << i)
+        blocks = -(-top >> (i + 1))
+        pairs = q[: blocks << (i + 1)].reshape(-1, 2, 1 << i)
         lo, hi = pairs[:, 0], pairs[:, 1]
         hi ^= lo
-        lo ^= exp[log[hi] + skews[i]]
+        lo ^= exp[log[hi] + skews[i][:blocks]]
     dq = np.zeros_like(q)
     for i in range(levels):  # formal derivative
         dq.reshape(-1, 2, 1 << i)[:, 0] ^= exp[log[q.reshape(-1, 2, 1 << i)[:, 1]] + slopes[i]]
+    first, last = int(wanted.min()), int(wanted.max())
     for i in reversed(range(levels)):  # FFT: coefficients of Q' -> values on V
-        pairs = dq.reshape(-1, 2, 1 << i)
+        start, stop = first >> (i + 1), (last >> (i + 1)) + 1
+        pairs = dq[start << (i + 1): stop << (i + 1)].reshape(-1, 2, 1 << i)
         lo, hi = pairs[:, 0], pairs[:, 1]
-        lo ^= exp[log[hi] + skews[i]]
+        lo ^= exp[log[hi] + skews[i][start:stop]]
         hi ^= lo
     return exp[log[dq[wanted]] + (q1 - ell[wanted])]
 
@@ -179,8 +208,10 @@ def mds_encode(message, config: CodecConfig) -> np.ndarray:
     out = np.zeros(config.n, dtype=np.int64)
     out[: config.f] = msg
     if config.n > config.f:
-        out[config.f:] = _erasure_decode(_levels(config), np.arange(config.f), msg,
-                                         np.arange(config.f, config.n))
+        levels = _levels(config)
+        out[config.f:] = _erasure_decode(levels, np.arange(config.f), msg,
+                                         np.arange(config.f, config.n),
+                                         _encoder_locator(levels, config.f))
     return out
 
 
@@ -216,7 +247,9 @@ def mds_decode(points, config: CodecConfig) -> np.ndarray:
     message[have] = values[: len(have)]
     if len(have) < config.f:
         missing = np.setdiff1d(np.arange(config.f), have, assume_unique=True)
-        message[missing] = _erasure_decode(_levels(config), known, values, missing)
+        levels = _levels(config)
+        message[missing] = _erasure_decode(levels, known, values, missing,
+                                           _locator(levels, known))
     return message
 
 

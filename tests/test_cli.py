@@ -253,9 +253,27 @@ def test_directory_path_exits_2_with_one_error_line(tmp_path, capsys, flag):
         ("simulate", "--n", "2", "--m", "1", "--k", "3", "--r", "2", "--f", "100", "--trials", "1")
     code, out, err = run(capsys, *base, flag, str(tmp_path))
     assert code == 2
-    assert out == "" or flag == "--log"  # the log is written after the report
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_unwritable_log_fails_before_any_trial_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                                   command):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("run_trials ran before the output paths were checked")
+
+    monkeypatch.setattr(cli, "run_trials", no_trials)
+    base = (command, "--n", "2", "--m", "1", "--k", "3", "--r", "2", "--f", "64")
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, *base, "--out", str(report), "--log", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+    assert list(tmp_path.iterdir()) == []
+    code, _, err = run(capsys, *base, "--out", str(tmp_path / "missing" / "report.json"))
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_k_prime_zero_is_rejected_not_defaulted(capsys):

@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdscache.gf import field
-from mdscache.mds import (CodecConfig, InsufficientSymbolsError,
-                          generator_matrix, mds_decode, mds_encode)
+from mdscache.mds import (CodecConfig, InsufficientSymbolsError, _encoder_locator,
+                          _erasure_decode, _levels, _locator, generator_matrix,
+                          mds_decode, mds_encode)
 from mdscache.simulate import pseudo_symbols
 
 
@@ -187,6 +189,44 @@ def test_fft_codec_matches_lagrange_and_roundtrips(f, extra, zero_share, seed):
     keep = rng.permutation(config.n)[:f]
     got = mds_decode([(int(i), int(coded[i])) for i in keep], config)
     assert np.array_equal(got, data)
+
+
+def gf_matvec(gf, mat, vec):
+    """mat @ vec over GF(2^16)."""
+    return np.bitwise_xor.reduce(gf.mul_vec(mat, vec[None, :]).astype(np.int64), axis=1)
+
+
+# (f, n) as fractions of N = 2^levels: r = 2 fills V, r = 3/2 leaves its top quarter out
+PRUNED_SHAPES = [(Fraction(1, 2), Fraction(1)), (Fraction(1, 2), Fraction(3, 4)),
+                 (Fraction(1, 8), Fraction(1))]
+
+
+@pytest.mark.parametrize("levels", range(9, 14))
+@pytest.mark.parametrize("f_share,n_share", PRUNED_SHAPES,
+                         ids=[f"f={f}N-n={n}N" for f, n in PRUNED_SHAPES])
+def test_pruned_transforms_match_closed_form_rows(levels, f_share, n_share):
+    # the transforms skip the blocks above max(known) and outside the wanted span;
+    # a highest known point of exactly 2^j - 1 fills its blocks, one of 2^j opens one more
+    size = 1 << levels
+    config = CodecConfig(int(f_share * size), int(n_share * size))
+    assert _levels(config) == levels
+    f, n, gf = config.f, config.n, config.gf
+    rng = np.random.default_rng(levels * 100 + f * 10 + n)
+    data = rng.integers(0, gf.order, size=f)
+    coded = mds_encode(data, config)
+    ends = np.array([f, n - 1])
+    assert np.array_equal(coded[ends], gf_matvec(gf, generator_matrix(config, rows=ends), data))
+    assert not _encoder_locator(levels, f).flags.writeable
+    for j in range((f - 1).bit_length(), levels):
+        for highest in (1 << j) - 1, 1 << j:
+            known = np.append(rng.choice(highest, size=f - 1, replace=False), highest)
+            erased = np.setdiff1d(np.arange(n), known)
+            values = rng.integers(0, gf.order, size=f)
+            ell = _locator(levels, known)
+            for wanted in erased[:1], erased[-1:], erased[[0, -1]]:
+                want = gf_matvec(gf, generator_matrix(config, basis=known, rows=wanted), values)
+                assert np.array_equal(_erasure_decode(levels, known, values, wanted, ell), want)
+            assert np.array_equal(mds_decode(np.column_stack((known, coded[known])), config), data)
 
 
 def test_field_edge_codewords_in_closed_form():
