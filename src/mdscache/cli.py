@@ -44,43 +44,56 @@ def _parse_demand(text: str) -> RequestVector:
 
 def _add_point_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, default=None, help="library size (number of files)")
-    sub.add_argument("--m", type=str, default=None, help="cache size in files, rational ok")
+    sub.add_argument("--m", type=as_fraction, default=None,
+                     help="cache size in files, rational ok")
     sub.add_argument("--k", type=int, default=None, help="active users")
-    sub.add_argument("--r", type=str, default=None, help="code expansion factor, rational ok")
+    sub.add_argument("--r", type=as_fraction, default=None,
+                     help="code expansion factor, rational ok")
     sub.add_argument("--config", type=str, default=None,
                      help="JSON file with flag defaults; explicit flags win")
 
 
-def _merged(args: argparse.Namespace, required: tuple[str, ...]) -> dict:
-    merged: dict = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ParamError(f"config file {args.config} must hold a JSON object of flag "
-                             f"values, not a {type(loaded).__name__}")
-        merged.update(loaded)
-        flags = [key for key in vars(args) if key not in ("command", "fn", "config")]
-        for key in merged:
-            if key not in flags:
-                hint = "".join(f"; did you mean {c!r} (--{c.replace('_', '-')})?"
-                               for c in difflib.get_close_matches(key, flags, n=1))
-                raise ParamError(f"config key {key!r} is not a flag of {args.command}{hint}")
-    for key, value in vars(args).items():
-        if value is not None:
-            merged[key] = value
-    missing = [key for key in required if merged.get(key) is None]
+def _config_argv(args: argparse.Namespace) -> list[str]:
+    """The ``--flag=value`` tokens a ``--config`` file stands for.
+
+    Each value is parsed later as the flag's own text would be; the ``=`` form
+    keeps a value starting with ``-`` from reading as a flag.
+    """
+    with open(args.config) as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ParamError(f"config file {args.config} must hold a JSON object of flag "
+                         f"values, not a {type(loaded).__name__}")
+    flags = [key for key in vars(args) if key not in ("command", "fn", "config")]
+    tokens = []
+    for key, value in loaded.items():
+        if key not in flags:
+            hint = "".join(f"; did you mean {c!r} (--{c.replace('_', '-')})?"
+                           for c in difflib.get_close_matches(key, flags, n=1))
+            raise ParamError(f"config key {key!r} is not a flag of {args.command}{hint}")
+        flag = "--" + key.replace("_", "-")
+        switch = isinstance(getattr(args, key), bool)  # only a switch parses to a bool
+        if value is None or isinstance(value, (list, dict)) or isinstance(value, bool) != switch:
+            want = "true or false" if switch else "a number or a string"
+            raise ParamError(f"config key {key!r} ({flag}) takes {want}, "
+                             f"not {json.dumps(value)}")
+        if not switch:
+            tokens.append(f"{flag}={value}")
+        elif value:
+            tokens.append(flag)
+    return tokens
+
+
+def _require(args: argparse.Namespace, *names: str) -> None:
+    missing = [name for name in names if getattr(args, name) is None]
     if missing:
         raise ParamError("missing required parameters: " + ", ".join(
-            "--" + key.replace("_", "-") for key in missing))
-    return merged
+            "--" + name.replace("_", "-") for name in missing))
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
-    opt = _merged(args, ("n", "m", "k", "r"))
-    n, k = int(opt["n"]), int(opt["k"])
-    m, r = as_fraction(opt["m"]), as_fraction(opt["r"])
-    n_distinct = opt.get("distinct")
+    _require(args, "n", "m", "k", "r")
+    n, m, k, r, n_distinct = args.n, args.m, args.k, args.r, args.distinct
     coded = rate_mds_dec(n, m, k, r, n_distinct=n_distinct)
     unc_dec = rate_uncoded_dec(n, m, k)
     unc_cen = rate_uncoded_cen(n, m, k)
@@ -101,24 +114,25 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    opt = _merged(args, ("n", "m", "k", "r", "axis", "values"))
-    axis = opt["axis"]
-    values = [part.strip() for part in str(opt["values"]).split(",") if part.strip()]
+    _require(args, "n", "m", "k", "r", "axis", "values")
+    axis = args.axis
+    values = [part.strip() for part in args.values.split(",") if part.strip()]
     if not values:
         raise ParamError("--values is empty")
-    out = open(opt["out"], "w") if opt.get("out") else sys.stdout
+    convert = int if axis == "k" else as_fraction
+    points = [(raw, convert(raw)) for raw in values]  # a bad value fails before any output
+    out = open(args.out, "w") if args.out else sys.stdout
     try:
         out.write(f"{axis},coded_prefetch_exact,coded_prefetch,"
                   "uncoded_dec_exact,uncoded_dec,uncoded_cen_exact,uncoded_cen\n")
-        for raw in values:
-            n, k = int(opt["n"]), int(opt["k"])
-            m, r = as_fraction(opt["m"]), as_fraction(opt["r"])
+        for raw, value in points:
+            n, m, k, r = args.n, args.m, args.k, args.r
             if axis == "k":
-                k = int(raw)
+                k = value
             elif axis == "m":
-                m = as_fraction(raw)
+                m = value
             else:
-                r = as_fraction(raw)
+                r = value
             try:
                 coded = rate_mds_dec(n, m, k, r)
                 unc_dec = rate_uncoded_dec(n, m, k)
@@ -136,12 +150,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_params(opt: dict) -> SystemParams:
-    k = int(opt["k"])
-    k_prime = int(k if opt.get("k_prime") is None else opt["k_prime"])
-    params = SystemParams(n_files=int(opt["n"]), k_prime=k_prime, k=k,
-                          m=as_fraction(opt["m"]), r=as_fraction(opt["r"]),
-                          f=int(opt["f"]))
+def _build_params(args: argparse.Namespace) -> SystemParams:
+    k_prime = args.k if args.k_prime is None else args.k_prime
+    params = SystemParams(n_files=args.n, k_prime=k_prime, k=args.k, m=args.m, r=args.r,
+                          f=args.f)
     require_valid(params)
     return params
 
@@ -166,31 +178,17 @@ def _require_writable(path: str) -> None:
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
-def _run_simulate(args: argparse.Namespace, preset: dict | None = None) -> int:
-    opt = _merged(args, ())
-    if preset:
-        for key, value in preset.items():
-            opt.setdefault(key, value)
-    opt.setdefault("f", 64 if preset else None)
-    for key in ("n", "m", "k", "r", "f"):
-        if opt.get(key) is None:
-            raise ParamError(f"missing required parameter: --{key}")
-    params = _build_params(opt)
-    demand = _parse_demand(opt["demand"]) if opt.get("demand") else None
-    tolerance = check_tolerance(opt.get("tolerance", 0.02))
-    for key in ("out", "log"):  # before the trials, so a bad path fails at once
-        if opt.get(key):
-            _require_writable(opt[key])
-    stats = run_trials(
-        params,
-        demand=demand,
-        trials=int(opt.get("trials", 10)),
-        seed=int(opt.get("seed", 0)),
-        mode=str(opt.get("mode", "accounting")),
-        codec=str(opt.get("codec", "auto")),
-        jobs=int(opt.get("jobs", 1)),
-        reconstruct=not opt.get("no_reconstruct", False),
-    )
+def _run_simulate(args: argparse.Namespace) -> int:
+    _require(args, "n", "m", "k", "r", "f")
+    params = _build_params(args)
+    demand = _parse_demand(args.demand) if args.demand else None
+    tolerance = check_tolerance(args.tolerance)
+    for path in (args.out, args.log):  # before the trials, so a bad path fails at once
+        if path:
+            _require_writable(path)
+    stats = run_trials(params, demand=demand, trials=args.trials, seed=args.seed,
+                       mode=args.mode, codec=args.codec, jobs=args.jobs,
+                       reconstruct=not args.no_reconstruct)
     comparison = compare_to_theory(stats, tolerance)
     per_iter: dict[str, float] = {}
     for t in stats.trials:
@@ -219,13 +217,13 @@ def _run_simulate(args: argparse.Namespace, preset: dict | None = None) -> int:
         "comparison": comparison,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
-    if opt.get("out"):
-        with open(opt["out"], "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    if opt.get("log"):
-        with open(opt["log"], "w") as fh:
+    if args.log:
+        with open(args.log, "w") as fh:
             for t in stats.trials:
                 fh.write(json.dumps(_trial_record(t), sort_keys=True) + "\n")
     status = "PASS" if comparison["passed"] else "FAIL"
@@ -234,17 +232,6 @@ def _run_simulate(args: argparse.Namespace, preset: dict | None = None) -> int:
         f"{comparison['theory_rate_float']:.6f}, all users decoded")
     print(f"{status}: {detail}", file=sys.stderr)
     return 0 if comparison["passed"] else 1
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    return _run_simulate(args)
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    # rate concentration is weak at the small f this preset targets; decoding
-    # exactness is asserted per trial regardless of the tolerance
-    return _run_simulate(args, preset={"mode": "exact", "codec": "real",
-                                       "trials": 5, "tolerance": 0.2})
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
@@ -326,9 +313,9 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def _cmd_best_r(args: argparse.Namespace) -> int:
-    opt = _merged(args, ("n", "m", "k", "grid"))
-    grid = [as_fraction(part) for part in str(opt["grid"]).split(",") if part.strip()]
-    r, rate = best_r(int(opt["n"]), as_fraction(opt["m"]), int(opt["k"]), grid)
+    _require(args, "n", "m", "k", "grid")
+    grid = [as_fraction(part) for part in args.grid.split(",") if part.strip()]
+    r, rate = best_r(args.n, args.m, args.k, grid)
     print(f"r={fraction_str(r)} rate={fraction_str(rate)} ({dec_str(rate)})")
     return 0
 
@@ -360,30 +347,33 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma separated candidate r values")
     sub.set_defaults(fn=_cmd_best_r)
 
-    for name, help_text, fn in (
-            ("simulate", "seeded Monte Carlo against the closed form", _cmd_simulate),
-            ("verify", "simulate preset: real codec, rank-based decode", _cmd_verify)):
+    for name, help_text in (
+            ("simulate", "seeded Monte Carlo against the closed form"),
+            ("verify", "simulate preset: real codec, rank-based decode")):
         sub = subs.add_parser(name, help=help_text)
         _add_point_args(sub)
         sub.add_argument("--k-prime", dest="k_prime", type=int, default=None,
                          help="provisioned users (default: --k)")
         sub.add_argument("--f", type=int, default=None, help="symbols per file")
-        sub.add_argument("--trials", type=int, default=None)
-        sub.add_argument("--seed", type=int, default=None)
+        sub.add_argument("--trials", type=int, default=10)
+        sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--demand", type=str, default=None,
                          help="comma separated 1-based file ids, one per user")
-        sub.add_argument("--mode", choices=("accounting", "exact"), default=None)
-        sub.add_argument("--codec", choices=("auto", "real", "virtual"), default=None)
-        sub.add_argument("--jobs", type=int, default=None)
-        sub.add_argument("--tolerance", type=str, default=None,
-                         help="relative rate tolerance (default 0.02)")
-        sub.add_argument("--no-reconstruct", dest="no_reconstruct",
-                         action="store_const", const=True, default=None,
+        sub.add_argument("--mode", choices=("accounting", "exact"), default="accounting")
+        sub.add_argument("--codec", choices=("auto", "real", "virtual"), default="auto")
+        sub.add_argument("--jobs", type=int, default=1)
+        sub.add_argument("--tolerance", type=str, default="0.02",
+                         help="relative rate tolerance (default %(default)s)")
+        sub.add_argument("--no-reconstruct", dest="no_reconstruct", action="store_true",
                          help="broadcast leaderless subsets instead of relying on "
                               "receiver-side reconstruction")
         sub.add_argument("--out", type=str, default=None, help="report JSON path")
         sub.add_argument("--log", type=str, default=None, help="per-trial JSONL path")
-        sub.set_defaults(fn=fn)
+        sub.set_defaults(fn=_run_simulate)
+        if name == "verify":
+            # rate concentration is weak at the small f this preset targets; decoding
+            # exactness is asserted per trial regardless of the tolerance
+            sub.set_defaults(mode="exact", codec="real", trials=5, tolerance="0.2", f=64)
 
     sub = subs.add_parser("selftest", help="fast internal consistency checks")
     sub.set_defaults(fn=_cmd_selftest)
@@ -391,8 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # config values go right after the subcommand, so explicit flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_argv(args) + argv[at:])
         return args.fn(args)
     except (ValueError, OSError) as exc:  # ParamError and unreadable or unwritable paths included
         print(f"error: {exc}", file=sys.stderr)

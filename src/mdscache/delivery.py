@@ -22,6 +22,7 @@ requested file.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,10 +60,6 @@ def leaders(d: RequestVector) -> tuple[int, ...]:
         if file not in seen:
             seen[file] = user
     return tuple(sorted(seen.values()))
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 @dataclass
@@ -168,7 +165,7 @@ def deliver(params: SystemParams, cache: CacheContents, d: RequestVector,
 
     pieces: list[Broadcast] = []
     for it in plan.iterations:
-        cap = _ceil(it.incr)
+        cap = math.ceil(it.incr)
         if cap == 0:
             continue
         subsets = subset_masks(k, it.j)
@@ -192,9 +189,7 @@ def deliver(params: SystemParams, cache: CacheContents, d: RequestVector,
     known_points: list[tuple[np.ndarray, np.ndarray]] = []
     for user in range(k):
         file0 = d0[user]
-        view = {nf: (cache.indices(user, nf), coded_files[nf][cache.indices(user, nf)])
-                for nf in range(params.n_files)}
-        know = seed_from_cache(view, params.n_files, params.coded_len)
+        know = seed_from_cache(cache.view(user, coded_files), params.n_files, params.coded_len)
         for _, nf, idx, vals in topups:
             know.add(nf, idx, vals)
         strip_fixpoint(know, index)

@@ -28,7 +28,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -242,6 +245,11 @@ class CacheContents:
 
     def indices(self, user: int, file: int) -> np.ndarray:
         return self._indices[(user, file)]
+
+    def view(self, user: int, coded_files) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """What ``user`` holds of each coded file: {file: (indices, symbol values)}."""
+        return {nf: (self.indices(user, nf), coded_files[nf][self.indices(user, nf)])
+                for nf in range(self.n_files)}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CacheContents):

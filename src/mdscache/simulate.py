@@ -170,9 +170,8 @@ def run_one_trial(params: SystemParams, demand: RequestVector, master_seed: int,
         successes.append(res.success)
         known.append(res.known)
         if mode == "exact":
-            view = {nf: (cache.indices(user, nf), coded[nf][cache.indices(user, nf)])
-                    for nf in range(params.n_files)}
-            res_x = decode_user(params, user, view, schedule, mode="exact", codec=config)
+            res_x = decode_user(params, user, cache.view(user, coded), schedule, mode="exact",
+                                codec=config)
             if res.success and not res_x.success:
                 raise AssertionError(
                     f"trial {trial}: accounting claimed success rank analysis denies")

@@ -246,6 +246,106 @@ def test_config_that_is_not_an_object_exits_2_naming_the_file(tmp_path, capsys, 
     assert str(config) in err and "JSON object" in err
 
 
+def run_to_exit(capsys, *argv):
+    """``run``, with an argparse error's ``SystemExit`` read as its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("m", [1.5, "3/2", "1.5"], ids=["number", "fraction", "decimal"])
+def test_config_value_parses_as_the_flag_text(tmp_path, capsys, m):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": m}))
+    code, out, _ = run(capsys, "rate", "--n", "2", "--k", "3", "--r", "2",
+                       "--config", str(config))
+    assert code == 0
+    assert out == run(capsys, "rate", "--n", "2", "--m", "3/2", "--k", "3", "--r", "2")[1]
+
+
+@pytest.mark.parametrize("command,key,value,needle", [
+    ("simulate", "f", 64.9, "argument --f: invalid int value: '64.9'"),
+    ("simulate", "n", 2.5, "argument --n: invalid int value: '2.5'"),
+    ("simulate", "trials", True, "config key 'trials' (--trials)"),
+    ("simulate", "mode", None, "config key 'mode' (--mode)"),
+    ("simulate", "demand", [1, 2, 1], "config key 'demand' (--demand)"),
+    ("simulate", "no_reconstruct", "yes", "(--no-reconstruct) takes true or false"),
+    ("sweep", "axis", "q", "argument --axis: invalid choice: 'q'"),
+], ids=["f", "n", "trials", "mode", "demand", "no_reconstruct", "axis"])
+def test_bad_config_value_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, command, key,
+                                                  value, needle):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("run_trials ran on a bad config value")
+
+    monkeypatch.setattr(cli, "run_trials", no_trials)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    point = ("--n", "2", "--m", "1", "--k", "3", "--r", "2")
+    extra = ("--f", "64", "--trials", "1") if command == "simulate" else ("--values", "1,2")
+    code, out, err = run_to_exit(capsys, command, *point, *extra, "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert needle in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("switch", [True, False])
+def test_config_switch_gives_the_flag_golden_digest(tmp_path, capsys, switch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 3, "m": 1, "k": 6, "r": 2, "f": 300, "trials": 4,
+                                  "seed": 5, "tolerance": 1, "no_reconstruct": switch}))
+    log = tmp_path / "trials.jsonl"
+    code, _, err = run(capsys, "simulate", "--config", str(config), "--log", str(log))
+    assert code == 0, err
+    extra = ("--no-reconstruct",) if switch else ()
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == GOLDEN_LOGS[extra]
+
+
+def test_verify_preset_then_config_then_flags(tmp_path, capsys, monkeypatch):
+    class Ran(Exception):
+        pass
+
+    def record(params, **kwargs):
+        seen.append((kwargs["trials"], kwargs["mode"]))
+        raise Ran
+
+    monkeypatch.setattr(cli, "run_trials", record)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trials": 2, "mode": "accounting"}))
+    base = ("verify", "--n", "2", "--m", "1", "--k", "3", "--r", "2")
+    seen = []
+    for argv in (base, (*base, "--config", str(config)),
+                 (*base, "--trials", "3", "--mode", "exact", "--config", str(config))):
+        with pytest.raises(Ran):
+            main(list(argv))
+    assert seen == [(5, "exact"), (2, "accounting"), (3, "exact")]
+
+
+def test_simulate_lists_every_missing_parameter_at_once(capsys):
+    code, out, err = run(capsys, "simulate", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: missing required parameters: --n, --m, --k, --r, --f\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("rate", "--n", "2", "--m", "1/0", "--k", "3", "--r", "2"),
+    ("rate", "--n", "2", "--m", "1", "--k", "3", "--r", "1/0"),
+    ("best-r", "--n", "2", "--m", "1", "--k", "3", "--grid", "1,1/0"),
+    ("sweep", "--n", "2", "--m", "1", "--k", "3", "--r", "2", "--axis", "m", "--values", "1,1/0"),
+], ids=["m", "r", "grid", "values"])
+def test_zero_denominator_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run_to_exit(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "'1/0'" in errors[0]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--config", "--out", "--log"])
 def test_directory_path_exits_2_with_one_error_line(tmp_path, capsys, flag):
     # a path that cannot be read or written is bad usage (2), not a failed check (1)

@@ -42,11 +42,6 @@ def setup(p, demand, seed, reconstruct=True, real_codec=False):
     return cache, coded, schedule, config
 
 
-def view_of(cache, coded, user, n_files):
-    return {nf: (cache.indices(user, nf), coded[nf][cache.indices(user, nf)])
-            for nf in range(n_files)}
-
-
 def naive_strip(know: UserKnowledge, messages) -> None:
     """Reference receiver pass: rescan every pending message until none yields."""
     pending = [m for m in messages if m.length > 0]
@@ -96,7 +91,7 @@ def test_strip_learns_single_unknown_and_chains():
     d = RequestVector((1, 2, 1))
     cache, coded, schedule, _ = setup(p, d, 51)
     for user in range(p.k):
-        know = seed_from_cache(view_of(cache, coded, user, p.n_files), p.n_files, p.coded_len)
+        know = seed_from_cache(cache.view(user, coded), p.n_files, p.coded_len)
         strip_fixpoint(know, BroadcastIndex.build(schedule.messages + schedule.topups,
                                                   p.coded_len))
         # every component involving this user's demand was recoverable
@@ -232,8 +227,8 @@ def test_decode_user_accounting_success_and_points():
     d = RequestVector((1, 2, 1))
     cache, coded, schedule, config = setup(p, d, 63, real_codec=True)
     for user in range(p.k):
-        res = decode_user(p, user, view_of(cache, coded, user, p.n_files),
-                          schedule, mode="accounting", codec=config)
+        res = decode_user(p, user, cache.view(user, coded), schedule, mode="accounting",
+                          codec=config)
         assert res.success, res.failure
         assert res.deficit == 0
         assert res.known >= p.f
@@ -250,7 +245,7 @@ def test_decode_user_exact_agrees():
         cache, coded, schedule, config = setup(p, d, derive_seed(67, t),
                                                real_codec=True)
         for user in range(p.k):
-            view = view_of(cache, coded, user, p.n_files)
+            view = cache.view(user, coded)
             acc = decode_user(p, user, view, schedule, mode="accounting", codec=config)
             exa = decode_user(p, user, view, schedule, mode="exact", codec=config)
             assert acc.success and exa.success
@@ -266,7 +261,7 @@ def test_decode_fails_without_topups_and_names_the_gap():
     stripped.topups = schedule.topups.take([])
     failed = 0
     for user in range(p.k):
-        res = decode_user(p, user, view_of(cache, coded, user, p.n_files), stripped)
+        res = decode_user(p, user, cache.view(user, coded), stripped)
         if not res.success:
             failed += 1
             assert res.deficit > 0
@@ -279,7 +274,7 @@ def test_decode_exact_needs_codec():
     d = RequestVector((1, 2, 1))
     cache, coded, schedule, _ = setup(p, d, 73)
     with pytest.raises(ValueError):
-        decode_user(p, 0, view_of(cache, coded, 0, p.n_files), schedule, mode="exact")
+        decode_user(p, 0, cache.view(0, coded), schedule, mode="exact")
 
 
 def test_decode_with_fallback_schedule():
@@ -288,7 +283,7 @@ def test_decode_with_fallback_schedule():
     cache, coded, schedule, config = setup(p, d, 77, reconstruct=False,
                                            real_codec=True)
     for user in range(p.k):
-        view = view_of(cache, coded, user, p.n_files)
+        view = cache.view(user, coded)
         acc = decode_user(p, user, view, schedule, codec=config)
         exa = decode_user(p, user, view, schedule, mode="exact", codec=config)
         assert acc.success and exa.success
@@ -314,7 +309,7 @@ def test_replay_of_delivered_schedule_equals_recorded_points(point, seed):
     for reconstruct in (True, False):
         cache, coded, schedule, _ = setup(p, d, seed, reconstruct=reconstruct)
         for user in range(p.k):
-            res = decode_user(p, user, view_of(cache, coded, user, p.n_files), schedule)
+            res = decode_user(p, user, cache.view(user, coded), schedule)
             idx, vals = schedule.known_points[user]
             assert res.success, res.failure
             assert np.array_equal(res.points[0], idx)
@@ -336,7 +331,7 @@ def test_event_driven_pass_equals_naive_strip(point, seed):
         index = BroadcastIndex.build(broadcast, p.coded_len)
         messages = list(broadcast)
         for user in range(p.k):
-            view = view_of(cache, coded, user, p.n_files)
+            view = cache.view(user, coded)
             earlier = schedule.topups.take(np.flatnonzero(schedule.topups.user < user))
             slow = seed_from_cache(view, p.n_files, p.coded_len)
             naive_strip(slow, [*messages, *earlier])

@@ -30,11 +30,6 @@ def delivered(params, demand, seed):
     return cache, coded, deliver(params, cache, demand, coded), config
 
 
-def view_of(cache, coded, user, n_files):
-    return {nf: (cache.indices(user, nf), coded[nf][cache.indices(user, nf)])
-            for nf in range(n_files)}
-
-
 def thinned(schedule, keep_messages, keep_topups):
     """The schedule with only the kept messages and top-ups; the skipped
     subsets are rebuilt from the kept messages alone."""
@@ -67,7 +62,7 @@ def test_exact_ranks_equal_the_dense_reference():
         part = thinned(schedule, rng.random(len(schedule.messages)) < keep,
                        rng.random(len(schedule.topups)) < keep)
         for user in range(params.k):
-            view = view_of(cache, coded, user, params.n_files)
+            view = cache.view(user, coded)
             ranks = _exact_ranks(params, user, view, part, config)
             assert ranks == reference_ranks(params, user, view, part, config)
             # the symbols the receiver pass recovers are in the span of what it observed
@@ -145,7 +140,7 @@ def test_exact_mode_at_degenerate_caches(m):
     cache, coded, schedule, config = delivered(params, RequestVector.worst_case(params), 5)
     assert (schedule.total_symbols == 0) == (m == 2)
     for user in range(params.k):
-        assert_matches_reference(params, user, view_of(cache, coded, user, params.n_files),
+        assert_matches_reference(params, user, cache.view(user, coded),
                                  schedule, config)
 
 
@@ -167,7 +162,7 @@ def test_exact_decode_of_an_empty_broadcast_matches_the_reference(m, f):
     empty.messages = schedule.messages.take([])
     empty.topups = schedule.topups.take([])
     for user in range(params.k):
-        view = view_of(cache, coded, user, params.n_files)
+        view = cache.view(user, coded)
         assert_matches_reference(params, user, view, empty, config)
         assert not _decode_exact(params, user, view, empty, config).success
 
@@ -182,7 +177,7 @@ def test_exact_decode_peak_stays_under_the_guard_figure(monkeypatch, m, r, f):
     cache, coded, schedule, config = delivered(p, d, 7)
     peak = 0
     for user in range(p.k):
-        view = view_of(cache, coded, user, p.n_files)
+        view = cache.view(user, coded)
         tracemalloc.start()
         try:
             assert decode_user(p, user, view, schedule, mode="exact", codec=config).success

@@ -23,6 +23,14 @@ def test_as_fraction_accepts_common_spellings():
     assert as_fraction(Fraction(7, 3)) == Fraction(7, 3)
 
 
+def test_as_fraction_rejects_zero_denominator_and_floats():
+    # a ValueError, as for any other bad literal, so argparse and the CLI report it
+    with pytest.raises(ValueError, match="'1/0'"):
+        as_fraction("1/0")
+    with pytest.raises(TypeError):
+        as_fraction(1.5)
+
+
 def test_fraction_str():
     assert fraction_str(Fraction(3, 2)) == "3/2"
     assert fraction_str(Fraction(4, 2)) == "2"
