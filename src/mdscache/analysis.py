@@ -122,13 +122,9 @@ def rate_uncoded_cen(n_files: int, m, k: int) -> Fraction:
 
 
 def best_r(n_files: int, m, k: int, r_grid) -> tuple[Fraction, Fraction]:
-    """Grid point minimizing rate_mds_dec; ties break toward the smaller r."""
+    """Grid point minimizing rate_mds_dec; ties break toward the smaller r (min keeps
+    the first of equal rates, and the grid ascends)."""
     grid = sorted({as_fraction(r) for r in r_grid})
     if not grid:
         raise ValueError("r_grid must contain at least one expansion factor")
-    best = None
-    for r in grid:
-        rate = rate_mds_dec(n_files, m, k, r)
-        if best is None or rate < best[1]:
-            best = (r, rate)
-    return best
+    return min(((r, rate_mds_dec(n_files, m, k, r)) for r in grid), key=lambda point: point[1])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import errno
+import functools
 import json
 import os
 import sys
@@ -42,12 +43,20 @@ def _parse_demand(text: str) -> RequestVector:
         raise ParamError(f"demand must be comma separated file ids, got {text!r}") from exc
 
 
+def _rational(text: str) -> Fraction:
+    """``as_fraction`` as an argparse type, so a rejected value's error says why."""
+    try:
+        return as_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_point_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, default=None, help="library size (number of files)")
-    sub.add_argument("--m", type=as_fraction, default=None,
+    sub.add_argument("--m", type=_rational, default=None,
                      help="cache size in files, rational ok")
     sub.add_argument("--k", type=int, default=None, help="active users")
-    sub.add_argument("--r", type=as_fraction, default=None,
+    sub.add_argument("--r", type=_rational, default=None,
                      help="code expansion factor, rational ok")
     sub.add_argument("--config", type=str, default=None,
                      help="JSON file with flag defaults; explicit flags win")
@@ -320,20 +329,21 @@ def _cmd_best_r(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="mdscache",
+        prog="mdscache", exit_on_error=exit_on_error,
         description="Decentralized coded caching with MDS-coded prefetching: "
                     "closed-form rates and symbol-level simulation.")
     subs = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(subs.add_parser, exit_on_error=exit_on_error)
 
-    sub = subs.add_parser("rate", help="closed-form rates at one parameter point")
+    sub = add_parser("rate", help="closed-form rates at one parameter point")
     _add_point_args(sub)
     sub.add_argument("--distinct", type=int, default=None,
                      help="distinct requested files (default: worst case)")
     sub.set_defaults(fn=_cmd_rate)
 
-    sub = subs.add_parser("sweep", help="CSV of rates along one axis")
+    sub = add_parser("sweep", help="CSV of rates along one axis")
     _add_point_args(sub)
     sub.add_argument("--axis", choices=("k", "m", "r"), default=None)
     sub.add_argument("--values", type=str, default=None,
@@ -341,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", type=str, default=None, help="CSV path (default stdout)")
     sub.set_defaults(fn=_cmd_sweep)
 
-    sub = subs.add_parser("best-r", help="grid search for the best expansion factor")
+    sub = add_parser("best-r", help="grid search for the best expansion factor")
     _add_point_args(sub)
     sub.add_argument("--grid", type=str, default=None,
                      help="comma separated candidate r values")
@@ -350,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
             ("simulate", "seeded Monte Carlo against the closed form"),
             ("verify", "simulate preset: real codec, rank-based decode")):
-        sub = subs.add_parser(name, help=help_text)
+        sub = add_parser(name, help=help_text)
         _add_point_args(sub)
         sub.add_argument("--k-prime", dest="k_prime", type=int, default=None,
                          help="provisioned users (default: --k)")
@@ -375,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
             # exactness is asserted per trial regardless of the tolerance
             sub.set_defaults(mode="exact", codec="real", trials=5, tolerance="0.2", f=64)
 
-    sub = subs.add_parser("selftest", help="fast internal consistency checks")
+    sub = add_parser("selftest", help="fast internal consistency checks")
     sub.set_defaults(fn=_cmd_selftest)
     return parser
 
@@ -388,7 +398,11 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             # config values go right after the subcommand, so explicit flags win
             at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + _config_argv(args) + argv[at:])
+            try:
+                args = build_parser(exit_on_error=False).parse_args(
+                    argv[:at] + _config_argv(args) + argv[at:])
+            except argparse.ArgumentError as exc:
+                raise ParamError(f"config file {args.config}: {exc}") from None
         return args.fn(args)
     except (ValueError, OSError) as exc:  # ParamError and unreadable or unwritable paths included
         print(f"error: {exc}", file=sys.stderr)

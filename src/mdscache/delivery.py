@@ -9,16 +9,16 @@ size whose full blocks would fill every cache.
 ``plan_schedule`` runs the loop on expected block sizes and keeps exact
 rational lengths; it is the only copy of the loop.  ``deliver`` executes the
 plan and emits real payloads: message lengths are capped by each planned
-increment rounded up to whole symbols.  Each iteration's messages are built
-together as arrays, one row per subset and one column per member, and kept in
-the columnar ``Broadcast`` record (see ``decoding``): messages,
-skipped-subset messages and top-ups are three such records, and a trial
-builds no per-message object.  ``deliver`` rebuilds the skipped messages and
-indexes the broadcast once, since every receiver derives the same ones.  The
-server knows every cache, so it runs each receiver's pass over that index,
-repairs any shortfall from truncation with dedicated top-up symbols appended
-after the multicast phase, and keeps what each user then knows of its
-requested file.
+increment rounded up to whole symbols.  The messages of every iteration are
+built in one pass over arrays, with the members of all subsets laid out
+flat, and kept in the columnar ``Broadcast`` record (see ``decoding``):
+messages, skipped-subset messages and top-ups are three such records, and a
+trial builds no per-message object.  ``deliver`` rebuilds the skipped
+messages and indexes the broadcast once, since every receiver derives the
+same ones.  The server knows every cache, so it runs each receiver's pass
+over that index, repairs any shortfall from truncation with dedicated top-up
+symbols appended after the multicast phase, and keeps what each user then
+knows of its requested file.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .analysis import comb0, stop_index
 from .decoding import (FALLBACK, MAIN, Broadcast, BroadcastIndex, _ranges, direct_messages,
                        seed_from_cache, strip_fixpoint, synthesize_skipped)
 from .params import (CacheContents, ParamError, RequestVector, SubfilePartition,
-                     SystemParams, mask_members, require_valid, subset_mask, subset_masks)
+                     SystemParams, require_valid, subset_mask, subset_masks)
 from .placement import expected_subfile_size, partition_subfiles
 
 
@@ -55,11 +55,7 @@ def require_enumerable(params: SystemParams) -> None:
 
 def leaders(d: RequestVector) -> tuple[int, ...]:
     """Lowest-indexed user per distinct requested file, ascending."""
-    seen: dict[int, int] = {}
-    for user, file in enumerate(d.files):
-        if file not in seen:
-            seen[file] = user
-    return tuple(sorted(seen.values()))
+    return tuple(sorted(d.files.index(file) for file in set(d.files)))
 
 
 @dataclass
@@ -163,20 +159,16 @@ def deliver(params: SystemParams, cache: CacheContents, d: RequestVector,
     plan = plan_schedule(params, d)
     partitions = {nf: partition_subfiles(cache, range(k), nf, params) for nf in set(d0)}
 
-    pieces: list[Broadcast] = []
+    # every planned iteration's messages in one build: descending j, subsets ascending
+    live = [it for it in plan.iterations if it.incr > 0]
+    picked = [subset_masks(k, it.j) for it in live]
+    picked = [s[(s & u_mask) != 0] if reconstruct or it.j < 2 else s for it, s in zip(live, picked)]
+    caps = np.repeat(np.array([math.ceil(it.incr) for it in live], dtype=np.int64),
+                     [s.size for s in picked])
+    messages = _multicast(np.concatenate([np.zeros(0, dtype=np.int64), *picked]), caps, u_mask,
+                          k, d0, partitions, coded_files)
     for it in plan.iterations:
-        cap = math.ceil(it.incr)
-        if cap == 0:
-            continue
-        subsets = subset_masks(k, it.j)
-        is_main = (subsets & u_mask) != 0
-        if reconstruct or it.j < 2:
-            subsets, is_main = subsets[is_main], is_main[is_main]
-        piece = _multicast(subsets, np.where(is_main, MAIN, FALLBACK).astype(np.int8), it.j,
-                           cap, k, d0, partitions, coded_files)
-        it.symbols = int(piece.length.sum())
-        pieces.append(piece)
-    messages = Broadcast.concat(pieces)
+        it.symbols = int(messages.length[messages.j == it.j].sum())
 
     # every receiver rebuilds the same skipped messages, so build them once;
     # without reconstruction those subsets were broadcast as fallbacks
@@ -207,33 +199,35 @@ def deliver(params: SystemParams, cache: CacheContents, d: RequestVector,
                             known_points=known_points)
 
 
-def _multicast(subsets: np.ndarray, kind: np.ndarray, j: int, cap: int, k: int, d0,
+def _multicast(subsets: np.ndarray, cap: np.ndarray, u_mask: int, k: int, d0,
                partitions: dict[int, SubfilePartition],
                coded_files: dict[int, np.ndarray]) -> Broadcast:
-    """The messages of the size-j `subsets`, capped at `cap` symbols.
+    """The messages of `subsets`, message i capped at cap[i] symbols.
 
-    Row i XORs, for each member u in ascending order, the prefix of the block
-    of u's file cached by exactly the other members; a message is as long as
-    its longest block, up to the cap, and empty ones are dropped.  Within one
-    column every symbol lands on its own payload position, so the XOR runs
-    column by column.
+    Message i XORs, for each member u in ascending order, the prefix of the
+    block of u's file cached by exactly the other members; a message is as
+    long as its longest block, up to its cap, and empty ones are dropped.  A
+    subset without a leader in `u_mask` gives a fallback message.  The
+    members of all messages are laid out flat, message by message, so the
+    span lookups and index gathers run once per file, and every component's
+    symbols go into the payloads in one ``np.bitwise_xor.at``.
     """
-    users = mask_members(subsets, k, j)
+    msg, users = np.nonzero((subsets[:, None] >> np.arange(k, dtype=np.int64)) & 1)
+    j = np.bincount(msg, minlength=subsets.size)
     files = np.asarray(d0, dtype=np.int64)[users]
-    blocks = subsets[:, None] & ~(np.int64(1) << users)
-    start = np.zeros(users.shape, dtype=np.int64)
-    full = np.zeros(users.shape, dtype=np.int64)
+    blocks = subsets[msg] & ~(np.int64(1) << users)
+    start, full = np.zeros((2, users.size), dtype=np.int64)
     for nf, part in partitions.items():
         at = files == nf
         start[at], full[at] = part.spans(blocks[at])
-    length = np.minimum(full.max(axis=1), cap)
+    length = np.minimum(np.maximum.reduceat(full, np.cumsum(j) - j), cap)
     sent = length > 0
-    subsets, kind, length = subsets[sent], kind[sent], length[sent]
-    users, files, blocks, start, full = (a[sent] for a in (users, files, blocks, start, full))
-    covered = np.minimum(full, length[:, None])
+    subsets, j, length = subsets[sent], j[sent], length[sent]
+    users, files, blocks, start, full = (a[sent[msg]] for a in (users, files, blocks, start, full))
+    covered = np.minimum(full, np.repeat(length, j))
 
     # covered indices and their symbols, component by component
-    comp_off = (np.cumsum(covered) - covered.ravel()).reshape(covered.shape)
+    comp_off = np.cumsum(covered) - covered
     cat = np.empty(int(covered.sum()), dtype=np.int64)
     symbols = np.empty_like(cat)
     for nf, part in partitions.items():
@@ -242,13 +236,8 @@ def _multicast(subsets: np.ndarray, kind: np.ndarray, j: int, cap: int, k: int, 
         indices = part.order[_ranges(start[at], covered[at])]
         cat[dst] = indices
         symbols[dst] = coded_files[nf][indices]
-    pay_start = np.cumsum(length) - length
     payload = np.zeros(int(length.sum()), dtype=np.int64)
-    for x in range(j):
-        payload[_ranges(pay_start, covered[:, x])] ^= symbols[_ranges(comp_off[:, x],
-                                                                      covered[:, x])]
-    n = subsets.size
-    return Broadcast(j=np.full(n, j, dtype=np.int64), subset=subsets, length=length, kind=kind,
-                     size=np.full(n, j, dtype=np.int64), payload=payload, user=users.ravel(),
-                     file=files.ravel(), block=blocks.ravel(), covered=covered.ravel(),
-                     cat=cat)
+    np.bitwise_xor.at(payload, _ranges(np.repeat(np.cumsum(length) - length, j), covered), symbols)
+    kind = np.where((subsets & u_mask) != 0, MAIN, FALLBACK).astype(np.int8)
+    return Broadcast(j=j, subset=subsets, length=length, kind=kind, size=j, payload=payload,
+                     user=users, file=files, block=blocks, covered=covered, cat=cat)

@@ -292,6 +292,26 @@ def test_bad_config_value_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,key,value,needle", [
+    ("simulate", "f", 64.9, "argument --f: invalid int value: '64.9'"),
+    ("rate", "m", "1/0", "argument --m: '1/0' has a zero denominator"),
+    ("sweep", "axis", "q", "argument --axis: invalid choice: 'q'"),
+], ids=["f", "m", "axis"])
+def test_bad_config_value_names_the_file(tmp_path, capsys, command, key, value, needle):
+    # the value is reported with the file it came from, on one error line
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    point = ["--n", "2", "--m", "1", "--k", "3", "--r", "2"]
+    if key == "m":
+        del point[2:4]  # the config file supplies --m
+    extra = {"simulate": ("--f", "64", "--trials", "1"), "sweep": ("--values", "1,2")}
+    code, out, err = run_to_exit(capsys, command, *point, *extra.get(command, ()),
+                                 "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: config file {config}: {needle}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("switch", [True, False])
 def test_config_switch_gives_the_flag_golden_digest(tmp_path, capsys, switch):
     config = tmp_path / "config.json"
@@ -342,7 +362,7 @@ def test_zero_denominator_exits_2_with_one_error_line(capsys, argv):
     assert code == 2
     assert out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "'1/0'" in errors[0]
+    assert len(errors) == 1 and "'1/0' has a zero denominator" in errors[0]
     assert "Traceback" not in err
 
 

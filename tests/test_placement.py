@@ -152,6 +152,28 @@ def test_partition_blocks_ascending_and_exact(active):
             assert len(part.blocks) == nonempty
 
 
+@pytest.mark.parametrize("n_active", [8, 9, 16, 20])
+def test_partition_narrow_keys_equal_int64_keys(n_active):
+    # keys are stored in uint8, uint16 or uint32 at these sizes; q = 3/4 makes the
+    # all-ones mask, the largest key of each type, a nonempty block
+    p = make(n=4, kp=20, k=20, m=3, r=1, f=4000)
+    active = np.random.default_rng(n_active).permutation(20)[:n_active].tolist()
+    for t in range(2):
+        cache = prefetch(p, derive_seed(41, t))
+        for nf in (0, 3):
+            keys = np.zeros(p.coded_len, dtype=np.int64)
+            for bit, user in enumerate(active):
+                keys[cache.indices(user, nf)] |= 1 << bit
+            order = np.argsort(keys, kind="stable")
+            firsts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+            part = partition_subfiles(cache, active, nf, p)
+            assert part.masks.dtype == np.int64
+            assert np.array_equal(part.order, order)
+            assert np.array_equal(part.masks, keys[order][firsts])
+            assert np.array_equal(part.starts, np.append(firsts, p.coded_len))
+            assert part.masks[-1] == (1 << n_active) - 1
+
+
 def test_partition_blocks_match_masks():
     p = make(n=2, kp=3, k=3, m=1, r=2, f=32)
     cache = prefetch(p, 21)
