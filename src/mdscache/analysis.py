@@ -68,12 +68,15 @@ def stop_index(n_files: int, m, k: int, r) -> int:
     raise AssertionError("r >= 1 guarantees the share reaches 1 by subset size 1")
 
 
-def rate_mds_dec(n_files: int, m, k: int, r, n_distinct: int | None = None) -> Fraction:
+def rate_mds_dec(n_files: int, m, k: int, r, n_distinct: int | None = None,
+                 reconstruct: bool = True) -> Fraction:
     """Delivery rate of decentralized placement with MDS-coded prefetching.
 
     Sums the per-subset-size message loads, with the final size s truncated to
     exactly fill every cache.  n_distinct overrides the worst-case count
-    min(n_files, k) of distinct requested files.
+    min(n_files, k) of distinct requested files.  A size-j subset is sent when
+    it holds a leader; with reconstruct=False the leaderless ones of size
+    j >= 2 are sent too, as fallbacks for receiver-side reconstruction.
     """
     m, r = _check_args(n_files, m, k, r)
     j_distinct = min(n_files, k) if n_distinct is None else n_distinct
@@ -82,15 +85,17 @@ def rate_mds_dec(n_files: int, m, k: int, r, n_distinct: int | None = None) -> F
     s = stop_index(n_files, m, k, r)
     if s == k + 1:
         return Fraction(0)
+
+    def sent(j: int) -> int:
+        leaderless = 0 if not reconstruct and j >= 2 else comb0(k - j_distinct, j)
+        return comb0(k, j) - leaderless
+
     q = m / (r * n_files)
     total = Fraction(0)
     for j in range(s + 1, k + 1):
-        total += (
-            r * q ** (j - 1) * (1 - q) ** (k - j + 1)
-            * (comb0(k, j) - comb0(k - j_distinct, j))
-        )
+        total += r * q ** (j - 1) * (1 - q) ** (k - j + 1) * sent(j)
     leftover = 1 - accumulated_share(s + 1, n_files, m, k, r)
-    total += leftover / comb0(k - 1, s - 1) * (comb0(k, s) - comb0(k - j_distinct, s))
+    total += leftover / comb0(k - 1, s - 1) * sent(s)
     return total
 
 

@@ -27,9 +27,15 @@ l(x) = prod_{e in E} (x ^ e), Q = P * l has degree < N and is known on all of
 V (zero on E), so Q = IFFT of those values.  At an erased e,
 Q'(e) = P(e) * l'(e), so P(e) = FFT(derivative of Q)(e) / l'(e).  The logs of
 l on the known points and of l' on E are the one XOR convolution
-sum_{e in E} log(x ^ e) (log 0 = 0 drops the self term), done with integer
-Walsh-Hadamard transforms; ``generator_matrix`` takes its barycentric log-sums
-from the same helper.
+sum_{e in E} log(x ^ e) (log 0 = 0 drops the self term), done with two exact
+int64 Walsh-Hadamard transforms and one reduction mod 2^16 - 1;
+``generator_matrix`` takes its barycentric log-sums from the same helper.  The
+transforms have constant geometry: every step reads the even and odd entries
+of one buffer and writes sums and differences to the two halves of another,
+all contiguous or stride 2.  The reduction folds 16-bit digits (2^16 = 1 mod
+2^16 - 1) instead of dividing, and the inverse transform's 1 / N is folded
+into the cached transform of the log table.  The derivative reads log Q once
+for all its levels.
 
 Each call runs only the butterflies whose results it reads.  Q is zero above
 the highest known point, so below the top level the IFFT skips the blocks that
@@ -87,20 +93,46 @@ class _Transform(NamedTuple):
 
     skews: tuple[np.ndarray, ...]  # level i: log U_i(o) per block offset o, a column
     slopes: tuple[int, ...]  # level l: log c_l, the derivative of U_l
-    log_hat: np.ndarray  # Walsh-Hadamard transform of gf.log[:N] with log 0 = 0, mod 2^16 - 1
+    log_hat: np.ndarray  # WHT of gf.log[:N] with log 0 = 0, divided by N, mod 2^16 - 1
 
 
 def _walsh_hadamard(x: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of an int64 array of length 2^L, in place."""
-    half = 1
-    while half < len(x):
-        pairs = x.reshape(-1, 2, half)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
-        half *= 2
+    """Unnormalised Walsh-Hadamard transform of an int64 array of length 2^L, as a new array.
+
+    Constant geometry: each of the L steps pairs the even and odd entries of
+    one buffer and writes their sums to the lower half of the other, their
+    differences to the upper half.  A step rotates the index bits right by
+    one, so after L steps each bit has had its butterfly and is back in place.
+    """
+    half = len(x) // 2
+    if not half:
+        return x.astype(np.int64)
+    buffers = np.empty(len(x), dtype=np.int64), np.empty(len(x), dtype=np.int64)
+    for step in range(half.bit_length()):
+        even, odd = x[0::2], x[1::2]
+        x = buffers[step & 1]
+        np.add(even, odd, out=x[:half])
+        np.subtract(even, odd, out=x[half:])
     return x
+
+
+def _mod_q1(x: np.ndarray) -> np.ndarray:
+    """x mod q1 = 2^16 - 1, in [0, q1), of an int64 array by folding 16-bit digits (2^16 = 1).
+
+    The shifts floor, so a negative x folds too: its top digit x >> 32 is
+    negative, and two folds bring the sum of the three digits into [0, q1].
+    """
+    y, digit = x >> 32, x >> 16
+    digit &= 0xFFFF
+    y += digit
+    np.bitwise_and(x, 0xFFFF, out=digit)
+    y += digit
+    for _ in range(2):  # in [-2^31, 2^31 + 2^17), then [-2^15, 3 * 2^15], then [0, q1]
+        np.right_shift(y, 16, out=digit)
+        y &= 0xFFFF
+        y += digit
+    y[y == 0xFFFF] = 0
+    return y
 
 
 @lru_cache(maxsize=None)
@@ -123,8 +155,10 @@ def _transform(levels: int) -> _Transform:
         slope = gf.mul(slope, w[i])
         w = [gf.mul(x, x ^ w[i]) for x in w]
     q1 = gf.order - 1
-    # % q1 sends the sentinel log 0 = 2 q1 to 0; the transform runs in int64
-    log_hat = _walsh_hadamard((log[: 1 << levels] % q1).astype(np.int64)) % q1
+    # % q1 sends the sentinel log 0 = 2 q1 to 0; the transform runs in int64, and
+    # 2^(16 - levels) is 1 / 2^levels mod q1, the inverse transform's scale
+    log_hat = _walsh_hadamard((log[: 1 << levels] % q1).astype(np.int64))
+    log_hat = log_hat * (1 << (16 - levels)) % q1
     return _Transform(tuple(skews), tuple(slopes), _readonly(log_hat))
 
 
@@ -132,14 +166,16 @@ def _log_sums(levels: int, members: np.ndarray) -> np.ndarray:
     """sum_{s in members} log(x ^ s) mod 2^16 - 1 for every x in {0..2^levels - 1}.
 
     ``members`` is a 0/1 int64 indicator over that set.  log 0 = 0, so a
-    member's own term drops out of its sum.  The sum is the XOR convolution of
-    the indicator with the log table; every product and transform stays below
-    2^33 because both are reduced mod 2^16 - 1, and dividing by 2^levels is
-    multiplying by 2^(16 - levels), its inverse mod the odd 2^16 - 1.
+    member's own term drops out of its sum.  The sum is the XOR convolution
+    WHT(WHT(members) * WHT(log)) / 2^levels of the indicator with the log
+    table, reduced once at the end; ``log_hat`` already holds the 1 / 2^levels.
+    The product lies within N q1 of 0 and the second transform within
+    N^2 q1 <= 2^48, so int64 holds both exactly.
     """
-    q1 = (1 << 16) - 1
-    spectrum = _walsh_hadamard(members.copy()) * _transform(levels).log_hat % q1
-    return _walsh_hadamard(spectrum) % q1 * (1 << (16 - levels)) % q1
+    spectrum = _walsh_hadamard(members)
+    spectrum *= _transform(levels).log_hat
+    spectrum = _walsh_hadamard(spectrum)
+    return _mod_q1(spectrum)
 
 
 def _locator(levels: int, known: np.ndarray) -> np.ndarray:
@@ -180,9 +216,9 @@ def _erasure_decode(levels: int, known: np.ndarray, values: np.ndarray,
         lo, hi = pairs[:, 0], pairs[:, 1]
         hi ^= lo
         lo ^= exp[log[hi] + skews[i][:blocks]]
-    dq = np.zeros_like(q)
+    log_q, dq = log[q], np.zeros_like(q)
     for i in range(levels):  # formal derivative
-        dq.reshape(-1, 2, 1 << i)[:, 0] ^= exp[log[q.reshape(-1, 2, 1 << i)[:, 1]] + slopes[i]]
+        dq.reshape(-1, 2, 1 << i)[:, 0] ^= exp[log_q.reshape(-1, 2, 1 << i)[:, 1] + slopes[i]]
     first, last = int(wanted.min()), int(wanted.max())
     for i in reversed(range(levels)):  # FFT: coefficients of Q' -> values on V
         start, stop = first >> (i + 1), (last >> (i + 1)) + 1
@@ -229,12 +265,18 @@ def mds_decode(points, config: CodecConfig) -> np.ndarray:
     idx, vals = pairs[:, 0], pairs[:, 1]
     distinct, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
     # report whichever fault comes first in the input, as a scan of the pairs would
-    outside = np.flatnonzero((idx < 0) | (idx >= config.n))[:1]
-    conflict = np.flatnonzero(vals != vals[first[inverse]])[:1]
-    if outside.size and not (conflict.size and conflict[0] < outside[0]):
-        raise ValueError(f"coded index {idx[outside[0]]} outside [0, {config.n})")
-    if conflict.size:
-        raise ValueError(f"conflicting values supplied for coded index {idx[conflict[0]]}")
+    outside = (idx < 0) | (idx >= config.n)
+    unfit = (vals < 0) | (vals >= config.gf.order)
+    conflict = vals != vals[first[inverse]]
+    faulty = np.flatnonzero(outside | unfit | conflict)
+    if faulty.size:
+        at = faulty[0]
+        if outside[at]:
+            raise ValueError(f"coded index {idx[at]} outside [0, {config.n})")
+        if unfit[at]:
+            raise ValueError(
+                f"value {vals[at]} of coded index {idx[at]} outside [0, {config.gf.order})")
+        raise ValueError(f"conflicting values supplied for coded index {idx[at]}")
     if len(distinct) < config.f:
         raise InsufficientSymbolsError(
             f"need {config.f} distinct coded symbols to decode, got {len(distinct)}"

@@ -253,7 +253,8 @@ def compare_to_theory(stats: TrialStats, tolerance: float,
     tolerance = check_tolerance(tolerance)
     p = stats.params
     n_distinct = None if worst_case else stats.n_distinct
-    theory = rate_mds_dec(p.n_files, p.m, p.k, p.r, n_distinct=n_distinct)
+    theory = rate_mds_dec(p.n_files, p.m, p.k, p.r, n_distinct=n_distinct,
+                          reconstruct=stats.reconstruct)
     mean = stats.mean_rate_exact
     if theory == 0:
         rel = None if mean == 0 else float("inf")

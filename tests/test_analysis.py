@@ -125,6 +125,27 @@ def test_rate_distinct_files_variant():
         rate_mds_dec(4, 1, 4, 2, n_distinct=0)
 
 
+def test_rate_without_reconstruction_counts_every_fallback_subset():
+    # k = 4, two leaders: the leaderless pair {3, 4} is sent as well
+    assert rate_mds_dec(2, 1, 4, 2) == Fraction(287, 384)
+    assert rate_mds_dec(2, 1, 4, 2, reconstruct=False) == Fraction(107, 128)
+    assert rate_mds_dec(3, 1, 6, 2, reconstruct=False) == Fraction(4787, 2916)
+    # at k = 3 every subset of size >= 2 holds one of the two leaders
+    assert rate_mds_dec(2, 1, 3, 2, reconstruct=False) == Fraction(45, 64)
+    rng = random.Random(3)
+    for _ in range(200):
+        n, k = rng.randint(1, 6), rng.randint(1, 8)
+        m = Fraction(rng.randint(0, 2 * n), 2)
+        r = max(Fraction(1), m / n) + Fraction(rng.randint(0, 6), 2)
+        nd = rng.randint(1, min(n, k))
+        leader_only = rate_mds_dec(n, m, k, r, n_distinct=nd)
+        every = rate_mds_dec(n, m, k, r, n_distinct=nd, reconstruct=False)
+        if k <= nd + 1:  # no leaderless subset of size >= 2
+            assert every == leader_only, (n, m, k, r, nd)
+        else:
+            assert every >= leader_only, (n, m, k, r, nd)
+
+
 def test_uncoded_decentralized_formula():
     # (n-m)/m * (1 - ((n-m)/n)^j) with j = min(n, k)
     assert rate_uncoded_dec(2, 1, 2) == Fraction(3, 4)

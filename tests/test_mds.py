@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from mdscache.gf import field
 from mdscache.mds import (CodecConfig, InsufficientSymbolsError, _encoder_locator,
-                          _erasure_decode, _levels, _locator, generator_matrix,
-                          mds_decode, mds_encode)
+                          _erasure_decode, _levels, _locator, _log_sums, _mod_q1,
+                          _walsh_hadamard, generator_matrix, mds_decode, mds_encode)
 from mdscache.simulate import pseudo_symbols
 
 
@@ -269,6 +269,93 @@ def test_decode_accepts_pair_arrays_and_reports_faults_in_input_order():
         mds_decode(np.zeros((4, 3), dtype=np.int64), config)
     with pytest.raises(InsufficientSymbolsError, match="got 0"):
         mds_decode([], config)
+
+
+def test_decode_rejects_values_outside_the_field_in_input_order():
+    config = CodecConfig(4, 8)
+    coded = mds_encode(np.array([9, 8, 7, 6]), config)
+    parity = [(i, int(coded[i])) for i in range(4, 8)]
+    for value in (-1, -5, 65536, 70000):
+        for index in (0, 4):  # a systematic pair and a parity pair
+            with pytest.raises(ValueError, match=f"value {value} of coded index {index} outside"):
+                mds_decode([(index, value)] + parity, config)
+    with pytest.raises(ValueError, match="value -1 of coded index 0"):
+        mds_decode([(0, -1), (8, 2), (1, 3), (1, 4)], config)
+    with pytest.raises(ValueError, match="coded index 8 outside"):
+        mds_decode([(8, -1), (0, -1)], config)
+    with pytest.raises(ValueError, match="conflicting values supplied for coded index 1"):
+        mds_decode([(1, 3), (1, 4), (0, -1)], config)
+    # the first pair of an index fixes its value, so a bad repeat is a conflict
+    with pytest.raises(ValueError, match="value 65536 of coded index 1"):
+        mds_decode([(1, 65536), (1, 4)], config)
+
+
+def naive_walsh_hadamard(x):
+    """sum_y (-1)^popcount(s & y) x[y] for every s, one row at a time."""
+    points = np.arange(len(x))
+    out = np.empty(len(x), dtype=np.int64)
+    for s in range(len(x)):
+        parity = points & s
+        for shift in 8, 4, 2, 1:  # bit 0 ends as the parity of bits 0..15
+            parity ^= parity >> shift
+        out[s] = np.where(parity & 1, -x, x).sum()
+    return out
+
+
+@pytest.mark.parametrize("levels", range(1, 17))
+def test_walsh_hadamard_matches_the_sign_sums(levels):
+    rng = np.random.default_rng(levels)
+    x = rng.integers(-(1 << 20), 1 << 20, size=1 << levels)
+    x.flags.writeable = False  # the transform writes only its own buffers
+    got = _walsh_hadamard(x)
+    assert got.dtype == np.int64
+    if levels <= 10:
+        assert np.array_equal(got, naive_walsh_hadamard(x))
+    # H is symmetric with H H = N I, so a second transform gives N x back
+    assert np.array_equal(_walsh_hadamard(got), x << levels)
+    if levels > 10:  # spot rows of the sign sums
+        for s in (0, 1, (1 << levels) - 1, int(rng.integers(1 << levels))):
+            signs = np.array([(-1) ** bin(s & y).count("1") for y in range(1 << levels)])
+            assert got[s] == int((signs * x).sum())
+
+
+def direct_log_sums(levels, members):
+    """sum_{s in members} log(x ^ s) mod 2^16 - 1 by the definition, log 0 = 0."""
+    q1 = (1 << 16) - 1
+    log = field(16).log % q1
+    points = np.arange(1 << levels)
+    total = np.zeros(1 << levels, dtype=np.int64)
+    for s in np.flatnonzero(members):
+        total += log[points ^ s]
+    return total % q1
+
+
+@pytest.mark.parametrize("levels", range(1, 13))
+def test_log_sums_equal_the_direct_sums(levels):
+    rng = np.random.default_rng(100 + levels)
+    size = 1 << levels
+    for members in (np.zeros(size, dtype=np.int64), np.ones(size, dtype=np.int64),
+                    (rng.random(size) < 0.5).astype(np.int64)):
+        members.flags.writeable = False
+        assert np.array_equal(_log_sums(levels, members), direct_log_sums(levels, members))
+
+
+def test_log_sums_of_a_sparse_set_at_the_field_width():
+    members = np.zeros(1 << 16, dtype=np.int64)
+    members[[0, 1, 2, 777, 40000, 65534, 65535]] = 1
+    members.flags.writeable = False
+    assert np.array_equal(_log_sums(16, members), direct_log_sums(16, members))
+
+
+def test_mod_q1_folds_digits_exactly():
+    q1 = (1 << 16) - 1
+    x = [0, 1, q1 - 1, q1, q1 + 1, 2 * q1, 3 * q1, 12345 * q1, 1 << 16, (1 << 16) + q1,
+         1 << 32, (1 << 32) - 1, q1 << 32, (1 << 48) - 1, 1 << 48, (1 << 63) - 1]
+    x += [-v for v in x[1:]] + [-(1 << 63)]  # the shifts floor, so negatives fold too
+    rng = random.Random(4)
+    x += [rng.randrange(-(1 << 63), 1 << 63) for _ in range(500)]
+    got = _mod_q1(np.array(x, dtype=np.int64))
+    assert got.tolist() == [v % q1 for v in x]
 
 
 GENERATOR_SHAPES = [(1, 1), (1, 4), (6, 10), (37, 100), (128, 256)]

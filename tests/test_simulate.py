@@ -222,6 +222,17 @@ def test_compare_to_theory_uses_distinct_count():
     assert not worst["passed"]  # single-file demand is cheaper than worst case
 
 
+def test_compare_to_theory_without_reconstruction_counts_fallbacks():
+    # the leaderless pair {3, 4} goes out as a fallback message at k = 4
+    p = make(n=2, kp=4, k=4, m=1, r=2, f=20000)
+    stats = run_trials(p, trials=2, seed=0, codec="virtual", reconstruct=False)
+    comp = compare_to_theory(stats, 0.02)
+    assert comp["theory_rate"] == "107/128"
+    assert comp["passed"], comp
+    assert compare_to_theory(run_trials(p, trials=2, seed=0, codec="virtual"),
+                             0.02)["theory_rate"] == "287/384"
+
+
 def test_compare_to_theory_zero_tolerance_explains():
     p = make(f=1000)
     stats = run_trials(p, RequestVector((1, 2, 1)), trials=2, seed=5)
