@@ -203,10 +203,6 @@ def _run_simulate(args: argparse.Namespace) -> int:
     for t in stats.trials:
         for j, symbols in t.per_iteration:
             per_iter[str(j)] = per_iter.get(str(j), 0.0) + symbols / len(stats.trials)
-    if stats.mode == "exact":
-        flat = [ok for t in stats.trials for ok in t.exact_successes]
-        comparison["exact_success_fraction"] = sum(flat) / len(flat)
-        comparison["passed"] = bool(comparison["passed"] and all(flat))
     report = {
         "params": json.loads(stats.params.to_json()),
         "demand": list(stats.demand.files),

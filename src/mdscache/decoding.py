@@ -14,7 +14,8 @@ Two fidelities are implemented:
   first and the received uncached ones next, so cached symbols drop out and
   most received symbols are unit rows.  Observations with one unknown are
   peeled off as pivots, round after round, and only what is left is row
-  reduced
+  reduced.  The decode checks the sizes it is about to allocate against
+  EXACT_BUDGET_BYTES and raises ParamError beyond it
 
 A broadcast is one columnar ``Broadcast`` record.  Per message it holds the
 subset size j, the receiver subset mask, the length, the kind and the number
@@ -42,10 +43,11 @@ from functools import cached_property
 import numpy as np
 
 from .mds import CodecConfig, generator_matrix, mds_decode
-from .params import SystemParams, mask_members, mask_users, subset_masks
+from .params import ParamError, SystemParams, mask_members, mask_users, subset_masks
 
 KINDS = ("main", "fallback", "virtual", "topup")
 MAIN, FALLBACK, VIRTUAL, TOPUP = range(len(KINDS))
+EXACT_BUDGET_BYTES = 256 * 10**6
 
 
 @dataclass(frozen=True)
@@ -567,6 +569,7 @@ def _exact_ranks(params, user, cache_view, schedule, codec) -> tuple[int, int]:
     peels the observations with a single unknown, then eliminates the rest.
     """
     file0 = schedule.demand.zero_based[user]
+    f = params.f
     b = schedule.messages + schedule.topups
     # per covered symbol: its observation (a payload position), file and coded index
     cov = np.minimum(b.covered, np.repeat(b.length, b.size))
@@ -578,33 +581,57 @@ def _exact_ranks(params, user, cache_view, schedule, codec) -> tuple[int, int]:
     order = [nf for nf in range(params.n_files) if nf != file0] + [file0]
     cached = [cache_view[nf][0] if nf in cache_view else np.zeros(0, dtype=np.int64)
               for nf in order]
-    n_free = [params.f - len(s) for s in cached]
-    # transposed: row c is column c of the system, so each column is contiguous
-    mat = np.zeros((sum(n_free), live.size), dtype=np.uint16)
-    col = 0
+    n_free = [f - len(s) for s in cached]
+    layout = []  # sized per file first, so the price comes before any large allocation
     for nf, s, width in zip(order, cached, n_free):
         on = sym_file == nf
-        index, j = sym_index[on], obs[on]
+        index = sym_index[on]
         fresh = np.zeros(codec.n, dtype=bool)
         fresh[index] = True
         fresh[s] = False
         received = np.flatnonzero(fresh)  # received uncached indices, ascending
         other = ~fresh
         other[s] = False
-        basis = np.concatenate([s, received, np.flatnonzero(other)])[:params.f]
+        basis = np.concatenate([s, received, np.flatnonzero(other)])[:f]
         # a received symbol's free coordinate, or -1 when it is cached
         slot = np.full(codec.n, -1)
         slot[received] = np.arange(received.size)
-        c = slot[index]
+        layout.append((slot[index], obs[on], basis, received[width:]))
+    held = sum(a.nbytes for part in ([live, obs, sym_file, sym_index], *layout) for a in part)
+    entries = sum(n_free) * live.size
+    generator = f * max(len(beyond) for *_, beyond in layout)
+    _require_budget(held + _SYSTEM_ENTRY_BYTES * entries + _GENERATOR_ENTRY_BYTES * generator,
+                    f"user {user}'s {sum(n_free)} x {live.size} system and its generator "
+                    f"rows at f={f}")
+    # transposed: row c is column c of the system, so each column is contiguous
+    mat = np.zeros((sum(n_free), live.size), dtype=np.uint16)
+    col = 0
+    for (c, j, basis, beyond), s, width in zip(layout, cached, n_free):
         unit, dense = (c >= 0) & (c < width), c >= width
         np.bitwise_xor.at(mat, (col + c[unit], j[unit]), 1)
         if dense.any():
-            rows = generator_matrix(codec, basis, received[width:])[:, len(s):]
+            rows = generator_matrix(codec, basis, beyond)[:, len(s):]
             np.bitwise_xor.at(mat[col: col + width].T, j[dense],
                               rows.astype(np.uint16)[c[dense] - width])
         col += width
+    # the residual's price counts mat alone: release the index arrays first
+    del b, cov, obs, sym_file, sym_index, live, layout
     p_left, p_right = _peel_then_eliminate(codec.gf, mat, sum(n_free[:-1]))
     return sum(len(s) for s in cached[:-1]) + p_left, len(cached[-1]) + p_right
+
+
+# bytes per entry, from the decode's traced peak: the uint16 system, the
+# peel's copy of it and a bool temporary; generator_matrix's int64 arrays, an
+# int32 gather and the uint16 copy; the residual and one elimination step
+_SYSTEM_ENTRY_BYTES, _GENERATOR_ENTRY_BYTES, _RESIDUAL_ENTRY_BYTES = 6, 30, 8
+
+
+def _require_budget(need: int, what: str) -> None:
+    """ParamError when `need` bytes exceed EXACT_BUDGET_BYTES."""
+    if need > EXACT_BUDGET_BYTES:
+        raise ParamError(f"the exact decode needs {need / 1e6:.0f} MB for {what}, more than "
+                         f"the limit of {EXACT_BUDGET_BYTES / 1e6:.0f} MB; "
+                         "use --mode accounting or a smaller f")
 
 
 def _peel_then_eliminate(gf, mat: np.ndarray, split: int) -> tuple[int, int]:
@@ -633,8 +660,10 @@ def _peel_then_eliminate(gf, mat: np.ndarray, split: int) -> tuple[int, int]:
         nonzero -= np.count_nonzero(mat[peeled], axis=0)
         mat[peeled] = 0
         units = np.flatnonzero(nonzero == 1)
-    cols = np.flatnonzero(mat.any(axis=1))
-    rest = mat[np.ix_(cols, np.flatnonzero(nonzero))]
+    cols, obs = np.flatnonzero(mat.any(axis=1)), np.flatnonzero(nonzero)
+    _require_budget(mat.nbytes + _RESIDUAL_ENTRY_BYTES * cols.size * obs.size,
+                    f"its {cols.size} x {obs.size} residual")
+    rest = mat[np.ix_(cols, obs)]
     rest_left, rest_right = _pivot_counts(gf, rest, int(np.count_nonzero(cols < split)))
     return p_left + rest_left, p_right + rest_right
 

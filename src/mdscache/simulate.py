@@ -11,10 +11,13 @@ Coded files come in two flavors:
   only the final interpolation step is vouched for by the codec test suite
   instead of being re-run per trial.  This is what makes file lengths far
   beyond the field size affordable.
+
+Exact mode (real codec only) adds the rank oracle per user; ``decoding``
+checks its memory where it allocates, so a point beyond the budget raises
+ParamError at trial 0's first exact decode.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,44 +27,16 @@ import numpy as np
 
 from .analysis import rate_mds_dec
 from .decoding import decode_points, decode_user
-from .delivery import deliver, plan_schedule, require_enumerable
+from .delivery import deliver, require_enumerable
 from .mds import CodecConfig, mds_encode
-from .params import (ParamError, RequestVector, SystemParams, fraction_str,
-                     require_valid)
+from .params import RequestVector, SystemParams, fraction_str, require_valid
 from .placement import (TAG_FILE, TAG_TRIAL, TAG_VIRTUAL, derive_seed, keyed_u64,
                         prefetch)
-
-EXACT_MATRIX_BYTES = 256 * 10**6
 
 
 def pseudo_symbols(seed: int, count: int, width_mask: int = 0xFFFF) -> np.ndarray:
     """Deterministic symbol string: ``keyed_u64`` masked to the symbol width."""
     return (keyed_u64(seed, count) & np.uint64(width_mask)).astype(np.int64)
-
-
-def require_exact_fits(params: SystemParams, demand: RequestVector) -> None:
-    """Raise ParamError when the exact decode's memory would exceed
-    EXACT_MATRIX_BYTES.  It is priced as a dense int64 observation matrix,
-    (m*f cached + planned delivery symbols) rows by n_files*f columns, which
-    holds the uint16 system and its elimination temporaries, plus one file's
-    generator rows.  The decode builds rows only for the received uncached
-    symbols of a file beyond its f - |S| free coordinates (see
-    ``decoding._exact_ranks``): at most the planned delivery symbols and at
-    most coded_len - f, f entries each at 30 bytes (``generator_matrix``
-    fills an int64 matrix through int64 logs, an int64 index and an int32
-    gather, and the decode keeps a uint16 copy).  Tests hold the traced peak
-    of the decode under this price at the verify point's f = 512 and 1024
-    and at m = 0, r = 4; at f = 32 the decode's fixed costs, a few tens of
-    KB, can exceed it.  Computes the size only; allocates nothing."""
-    planned = math.ceil(plan_schedule(params, demand).total)
-    rows = params.n_files * params.cached_per_file + planned
-    matrix = 8 * params.n_files * params.f * rows
-    generator = 30 * params.f * min(planned, params.coded_len - params.f)
-    if matrix + generator > EXACT_MATRIX_BYTES:
-        raise ParamError(f"exact mode at f={params.f} needs a {matrix / 1e6:.0f} MB observation "
-                         f"matrix and {generator / 1e6:.0f} MB of generator rows per user, "
-                         f"more than the limit of {EXACT_MATRIX_BYTES / 1e6:.0f} MB; "
-                         "use --mode accounting or a smaller f")
 
 
 def choose_codec(params: SystemParams, codec: str) -> str:
@@ -218,10 +193,8 @@ def run_trials(params: SystemParams, demand: RequestVector | None = None,
         demand = RequestVector.worst_case(params)
     demand.validate_for(params)
     codec_kind = choose_codec(params, codec)
-    if mode == "exact":
-        if codec_kind != "real":
-            raise ValueError("exact mode needs the real codec (small f)")
-        require_exact_fits(params, demand)
+    if mode == "exact" and codec_kind != "real":
+        raise ValueError("exact mode needs the real codec (small f)")
     args = [(params, demand, seed, t, mode, codec_kind, reconstruct) for t in range(trials)]
     if jobs > 1:
         # imported here: the pool module loads multiprocessing, which a
@@ -246,14 +219,12 @@ def check_tolerance(tolerance) -> float:
     return value
 
 
-def compare_to_theory(stats: TrialStats, tolerance: float,
-                      worst_case: bool = False) -> dict:
+def compare_to_theory(stats: TrialStats, tolerance: float) -> dict:
     """Check mean empirical rate against the closed form at the demand's
-    distinct-file count (or the worst case), plus full decode success."""
+    distinct-file count, plus full decode success (by rank too in exact mode)."""
     tolerance = check_tolerance(tolerance)
     p = stats.params
-    n_distinct = None if worst_case else stats.n_distinct
-    theory = rate_mds_dec(p.n_files, p.m, p.k, p.r, n_distinct=n_distinct,
+    theory = rate_mds_dec(p.n_files, p.m, p.k, p.r, n_distinct=stats.n_distinct,
                           reconstruct=stats.reconstruct)
     mean = stats.mean_rate_exact
     if theory == 0:
@@ -261,7 +232,8 @@ def compare_to_theory(stats: TrialStats, tolerance: float,
     else:
         rel = float(abs(mean - theory) / theory)
     ok_rate = (rel is None) or rel <= tolerance
-    ok_success = stats.success_fraction == 1.0
+    exact = [ok for t in stats.trials for ok in t.exact_successes] if stats.mode == "exact" else []
+    ok_success = stats.success_fraction == 1.0 and all(exact)
     message = ""
     if tolerance == 0 and rel not in (None, 0.0):
         ok_rate = False
@@ -281,7 +253,8 @@ def compare_to_theory(stats: TrialStats, tolerance: float,
         "tolerance": tolerance,
         "success_fraction": stats.success_fraction,
         "topup_fraction": stats.topup_fraction,
-        "distinct_files": "worst-case" if worst_case else stats.n_distinct,
+        "distinct_files": stats.n_distinct,
         "passed": bool(ok_rate and ok_success),
         "message": message,
+        **({"exact_success_fraction": sum(exact) / len(exact)} if exact else {}),
     }

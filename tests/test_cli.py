@@ -1,16 +1,16 @@
 """Command line behavior: output shapes, exit codes, determinism."""
 import hashlib
 import json
+import re
 import time
-import tracemalloc
 
 import pytest
 
 from mdscache import cli
 from mdscache.cli import build_parser, dec_str, main
 from mdscache.delivery import require_enumerable
-from mdscache.params import ParamError, RequestVector, SystemParams
-from mdscache.simulate import require_exact_fits
+from mdscache.params import SystemParams
+from mdscache.simulate import run_trials
 from fractions import Fraction
 
 
@@ -68,27 +68,33 @@ def test_simulate_beyond_subset_budget_exits_2_at_once(capsys):
 
 
 def test_exact_mode_beyond_matrix_budget_exits_2_at_once(capsys):
+    # the decode refuses before it allocates the system, at trial 0's first user
     start = time.perf_counter()
     code, _, err = run(capsys, "simulate", "--mode", "exact", "--codec", "real", "--n", "2",
-                       "--k", "3", "--m", "1", "--r", "2", "--f", "4096", "--trials", "1")
+                       "--k", "3", "--m", "1", "--r", "2", "--f", "8192", "--trials", "1")
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert "457 MB" in err and "256 MB" in err and "--mode accounting" in err
+    assert "f=8192" in err and "256 MB" in err and "--mode accounting" in err
+    assert re.search(r"needs \d+ MB", err)
 
 
-def test_exact_matrix_check_allocates_nothing_and_admits_small_f():
-    tracemalloc.start()
-    try:
-        p = SystemParams(n_files=2, k_prime=3, k=3, m=Fraction(1), r=Fraction(2), f=4096)
-        with pytest.raises(ParamError, match="observation matrix"):
-            require_exact_fits(p, RequestVector.worst_case(p))
-        assert tracemalloc.get_traced_memory()[1] < 1 << 20
-    finally:
-        tracemalloc.stop()
-    # the verify preset's default f and the f=128 exact-mode benchmark point fit
+def test_refused_exact_run_in_workers_writes_nothing(tmp_path, capsys):
+    out, log = tmp_path / "report.json", tmp_path / "trials.jsonl"
+    code, _, err = run(capsys, "verify", "--n", "2", "--m", "1", "--k", "3", "--r", "2",
+                       "--f", "8192", "--trials", "2", "--jobs", "2",
+                       "--out", str(out), "--log", str(log))
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "f=8192" in lines[0]
+    assert not out.exists() and not log.exists()
+
+
+def test_exact_mode_admits_small_f():
+    # the verify preset's default f and the f=128 exact-mode benchmark point run
     for f in (64, 128):
         p = SystemParams(n_files=2, k_prime=3, k=3, m=Fraction(1), r=Fraction(2), f=f)
-        require_exact_fits(p, RequestVector.worst_case(p))
+        stats = run_trials(p, trials=1, seed=3, mode="exact", codec="real")
+        assert all(stats.trials[0].exact_successes)
 
 
 def test_sweep_csv_shape(capsys):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exact_reference import gauss_jordan_pivots, reference_ranks
-from mdscache import simulate
+from mdscache import decoding
 from mdscache.decoding import (_decode_exact, _exact_ranks, _peel_then_eliminate,
                                _pivot_counts, decode_user, synthesize_skipped)
 from mdscache.delivery import deliver
@@ -17,7 +17,7 @@ from mdscache.gf import field
 from mdscache.mds import CodecConfig, mds_encode
 from mdscache.params import ParamError, RequestVector, SystemParams
 from mdscache.placement import derive_seed, prefetch
-from mdscache.simulate import pseudo_symbols, require_exact_fits, run_trials
+from mdscache.simulate import pseudo_symbols, run_trials
 from test_simulate import small_feasible_points
 
 
@@ -167,23 +167,53 @@ def test_exact_decode_of_an_empty_broadcast_matches_the_reference(m, f):
         assert not _decode_exact(params, user, view, empty, config).success
 
 
-@pytest.mark.parametrize("m,r,f", [(1, 2, 512), (1, 2, 1024), (0, 4, 256), (0, 4, 512)])
+@pytest.mark.parametrize("m,r,f", [(1, 2, 512), (1, 2, 1024), (1, 2, 4096),
+                                   (0, 4, 256), (0, 4, 512)])
 def test_exact_decode_peak_stays_under_the_guard_figure(monkeypatch, m, r, f):
-    # the size require_exact_fits checks, observation matrix plus generator
-    # rows, must bound the traced peak of each user's exact decode: with the
-    # budget one byte below that peak, the check has to refuse the point
+    # the size the decode checks before it allocates must bound the traced
+    # peak of each user's exact decode: with the budget one byte below that
+    # peak, the decode has to refuse
     p = SystemParams(n_files=2, k_prime=3, k=3, m=Fraction(m), r=Fraction(r), f=f)
-    d = RequestVector.worst_case(p)
-    cache, coded, schedule, config = delivered(p, d, 7)
-    peak = 0
+    cache, coded, schedule, config = delivered(p, RequestVector.worst_case(p), 7)
+    # a first decode fills any one-time cache it reads (the field tables,
+    # mds._transform's constants), so each traced peak is one decode's own
+    decode_user(p, 0, cache.view(0, coded), schedule, mode="exact", codec=config)
     for user in range(p.k):
         view = cache.view(user, coded)
         tracemalloc.start()
         try:
             assert decode_user(p, user, view, schedule, mode="exact", codec=config).success
-            peak = max(peak, tracemalloc.get_traced_memory()[1])
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    monkeypatch.setattr(simulate, "EXACT_MATRIX_BYTES", peak - 1)
-    with pytest.raises(ParamError, match="observation matrix"):
-        require_exact_fits(p, d)
+        monkeypatch.setattr(decoding, "EXACT_BUDGET_BYTES", peak - 1)
+        with pytest.raises(ParamError, match="more than the limit"):
+            decode_user(p, user, view, schedule, mode="exact", codec=config)
+        monkeypatch.undo()
+
+
+def test_refused_exact_decode_stays_under_8_mb():
+    # beyond the budget the decode refuses before it allocates the system
+    p = SystemParams(n_files=2, k_prime=3, k=3, m=Fraction(1), r=Fraction(2), f=32766)
+    cache, coded, schedule, config = delivered(p, RequestVector.worst_case(p), 7)
+    view = cache.view(0, coded)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParamError, match="f=32766.*256 MB"):
+            decode_user(p, 0, view, schedule, mode="exact", codec=config)
+        assert tracemalloc.get_traced_memory()[1] < 8 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_peel_refuses_a_residual_beyond_the_budget(monkeypatch):
+    # no observation has a single unknown, so the whole system is the residual
+    gf = field(16)
+    mat = np.random.default_rng(3).integers(1, gf.order, size=(30, 40)).astype(np.uint16)
+    want = _pivot_counts(gf, mat.copy(), 10)
+    price = mat.nbytes + 8 * mat.size
+    monkeypatch.setattr(decoding, "EXACT_BUDGET_BYTES", price - 1)
+    with pytest.raises(ParamError, match="30 x 40 residual"):
+        _peel_then_eliminate(gf, mat.copy(), 10)
+    monkeypatch.setattr(decoding, "EXACT_BUDGET_BYTES", price)
+    assert _peel_then_eliminate(gf, mat, 10) == want
